@@ -11,8 +11,7 @@ from .model import (Scenario, TransceiverState, channel, channel_matrix,
 from .pdip import (PdipOptions, QuadraticObjective, SolveReport, newton_step,
                    residuals, solve_pdip)
 from .pgd import PgdOptions, pava_nondecreasing, project_feasible, solve_pgd
-from .sca import (ScaOptions, Surrogate, build_surrogate, cross_lower_bound,
-                  power_upper_bound, solve_sca)
+from .sca import ScaOptions, Surrogate, build_surrogate, solve_sca
 
 __all__ = [
     "ApvObjective", "EffectiveWeights", "LinearConstraints", "effective_weights",
@@ -25,6 +24,5 @@ __all__ = [
     "PdipOptions", "QuadraticObjective", "SolveReport", "newton_step",
     "residuals", "solve_pdip",
     "PgdOptions", "pava_nondecreasing", "project_feasible", "solve_pgd",
-    "ScaOptions", "Surrogate", "build_surrogate", "cross_lower_bound",
-    "power_upper_bound", "solve_sca",
+    "ScaOptions", "Surrogate", "build_surrogate", "solve_sca",
 ]

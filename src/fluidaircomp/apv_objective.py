@@ -1,16 +1,27 @@
 """Antenna-position objective: value, analytic derivatives, and the feasible set.
 
-With w_k = alpha_k * conj(b_k) * m, the position-dependent part of the MSE is
+With w_k = alpha_k * conj(b_k) * m, the position-dependent part of the MSE
+depends on x only through the steered weights and their sums
 
-    g(x) = sum_k [ P_k(x) - C_k(x) ],
-    P_k(x) = |w_k^H a(x, theta_k)|^2
-           = sum_{n,l} |w_kn||w_kl| cos(q_k(x_n, x_l)),
-    C_k(x) = 2 Re(w_k^H a(x, theta_k))
-           = 2 sum_n |w_kn| cos(phi_k x_n - ang_kn),
+    v_kn = |w_kn| exp(j (phi_k x_n - ang_kn)),    u_k = sum_n v_kn = w_k^H a(x, theta_k),
 
-where q_k(x_n, x_l) = phi_k (x_n - x_l) - (ang_kn - ang_kl) and
-phi_k = 2*pi*cos(theta_k). The full residual sum relates to g through
-sum_k |w_k^H a - 1|^2 = g(x) + K.
+where phi_k = 2*pi*cos(theta_k) and ang_kn = angle(w_kn). Then
+
+    g(x)           = sum_k |u_k|^2 - 2 Re u_k,
+    dg/dx_p        = -2 sum_k phi_k Im(v_kp (conj(u_k) - 1)),
+    d2g/dx_p dx_q  = 2 sum_k phi_k^2 Re(v_kp conj(v_kq))             (p != q),
+    d2g/dx_p^2     = 2 sum_k phi_k^2 (|v_kp|^2 - Re(v_kp (conj(u_k) - 1))),
+
+so the off-diagonal Hessian is the matrix product 2 Re(V^T Phi^2 conj(V)).
+The full residual sum relates to g through sum_k |w_k^H a - 1|^2 = g(x) + K.
+
+Bounding every cosine's curvature by 1 gives the SCA majorant of g + K, a
+convex quadratic x^T Q x - c^T x + d with an anchor-independent
+
+    Q = diag(sum_k phi_k^2 (sum_n |w_kn| + 1) |w_k|) - |W|^T Phi^2 |W|.
+
+It touches g + K at the anchor a and is smooth, so it is also tangent there:
+c = 2 Q a - grad g(a) and d = g(a) + K - a^T Q a + c^T a.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import TWO_PI, Scenario
+from .model import TWO_PI, InfeasibleStartError, Scenario
 
 
 @dataclass(frozen=True)
@@ -42,6 +53,24 @@ class EffectiveWeights:
     @property
     def n_antennas(self) -> int:
         return self.magnitudes.shape[1]
+
+    def steered(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Steered weights v[..., k, n] and their sums u[..., k] = w_k^H a(x, theta_k)
+        for positions x of shape (..., N)."""
+        x = np.asarray(x, dtype=float)
+        phase = self.spatial_freqs[:, None] * x[..., None, :] - self.phases
+        v = self.magnitudes * np.exp(1j * phase)
+        return v, v.sum(axis=-1)
+
+
+def steered_value(u: np.ndarray) -> np.ndarray:
+    """g from the inner products u[..., k]."""
+    return np.sum(u.real**2 + u.imag**2 - 2.0 * u.real, axis=-1)
+
+
+def steered_gradient(weights: EffectiveWeights, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """grad g from the steered weights (v, u) of one point."""
+    return -2.0 * weights.spatial_freqs @ (v * (u.conj()[:, None] - 1.0)).imag
 
 
 def effective_weights(b: np.ndarray, m: np.ndarray, scenario: Scenario) -> EffectiveWeights:
@@ -108,75 +137,33 @@ class ApvObjective:
     def constraints(self) -> LinearConstraints:
         return position_constraints(self.weights.n_antennas, self.aperture, self.min_spacing)
 
-    def _phase_args(self, x: np.ndarray) -> np.ndarray:
-        # s[k, n] = phi_k * x_n - ang_kn
-        return self.weights.spatial_freqs[:, None] * x[None, :] - self.weights.phases
+    def feasible_start(self, x0: np.ndarray) -> np.ndarray:
+        """x0 as a float copy, checked against the constraints up to the
+        1e-12 * (1 + L) rounding that projected points may carry."""
+        x = np.asarray(x0, dtype=float).copy()
+        if np.max(self.constraints.values(x)) > 1e-12 * (1.0 + self.aperture):
+            raise InfeasibleStartError("x0 violates the position constraints")
+        return x
 
-    def power_term(self, k: int, x: np.ndarray) -> float:
-        """P_k(x): the double cosine sum equal to |w_k^H a(x, theta_k)|^2."""
-        x = np.asarray(x, dtype=float)
-        w = self.weights.magnitudes[k]
-        s = self.weights.spatial_freqs[k] * x - self.weights.phases[k]
-        q = s[:, None] - s[None, :]
-        return float(np.sum(np.outer(w, w) * np.cos(q)))
-
-    def cross_term(self, k: int, x: np.ndarray) -> float:
-        """C_k(x): the single cosine sum equal to 2*Re(w_k^H a(x, theta_k))."""
-        x = np.asarray(x, dtype=float)
-        w = self.weights.magnitudes[k]
-        s = self.weights.spatial_freqs[k] * x - self.weights.phases[k]
-        return float(2.0 * np.sum(w * np.cos(s)))
-
-    def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        w = self.weights.magnitudes
-        s = self._phase_args(x)
-        q = s[:, :, None] - s[:, None, :]
-        pair = w[:, :, None] * w[:, None, :]
-        power = np.einsum("knl,knl->", pair, np.cos(q))
-        cross = 2.0 * np.sum(w * np.cos(s))
-        return float(power - cross)
-
-    def value_batch(self, points: np.ndarray) -> np.ndarray:
-        """g evaluated on each row of points, via the complex inner-product form.
-
-        Same math as value(); used where many evaluations are needed at once.
-        """
-        points = np.asarray(points, dtype=float)
-        w = self.weights.magnitudes
-        s = (self.weights.spatial_freqs[:, None, None] * points[None, :, :]
-             - self.weights.phases[:, None, :])
-        inner = np.sum(w[:, None, :] * np.exp(1j * s), axis=2)  # w_k^H a per row
-        return np.sum(np.abs(inner) ** 2 - 2.0 * inner.real, axis=0)
+    def value(self, x: np.ndarray) -> float | np.ndarray:
+        """g(x); a (P, N) stack of points gives the (P,) array of values."""
+        _, u = self.weights.steered(x)
+        g = steered_value(u)
+        return float(g) if g.ndim == 0 else g
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient of g; entry p is
-        sum_k -2 phi_k |w_kp| [ sum_l |w_kl| sin(q_k(x_p, x_l)) - sin(s_kp) ]."""
-        x = np.asarray(x, dtype=float)
-        w = self.weights.magnitudes
-        phi = self.weights.spatial_freqs
-        s = self._phase_args(x)
-        q = s[:, :, None] - s[:, None, :]
-        inner = np.einsum("kl,knl->kn", w, np.sin(q))
-        grad_power = -2.0 * phi[:, None] * w * inner
-        grad_cross = -2.0 * phi[:, None] * w * np.sin(s)
-        return np.sum(grad_power - grad_cross, axis=0)
+        """Analytic gradient of g at one point."""
+        v, u = self.weights.steered(x)
+        return steered_gradient(self.weights, v, u)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Analytic Hessian of g (symmetric N x N)."""
-        x = np.asarray(x, dtype=float)
-        n = self.weights.n_antennas
-        w = self.weights.magnitudes
-        phi2 = self.weights.spatial_freqs[:, None] ** 2
-        s = self._phase_args(x)
-        q = s[:, :, None] - s[:, None, :]
-        pair = w[:, :, None] * w[:, None, :]
-        cosq = pair * np.cos(q)
-        hess = np.sum(2.0 * phi2[:, :, None] * cosq, axis=0)
-        # diagonal of the power term: -2 phi^2 |w_p| sum_{l != p} |w_l| cos(q_pl);
-        # the cross term only contributes -2 phi^2 |w_p| cos(s_p) on the diagonal
-        rows = np.sum(cosq, axis=2) - w**2
-        diag = np.sum(-2.0 * phi2 * rows + 2.0 * phi2 * w * np.cos(s), axis=0)
-        idx = np.arange(n)
-        hess[idx, idx] = diag
+        """Analytic Hessian of g at one point (symmetric N x N)."""
+        v, u = self.weights.steered(x)
+        phi2 = self.weights.spatial_freqs ** 2
+        # 2 Re(V^T Phi^2 conj(V)) as two real products, which measured
+        # faster than one complex product
+        re, im = v.real, v.imag
+        hess = 2.0 * ((phi2[:, None] * re).T @ re + (phi2[:, None] * im).T @ im)
+        diag = 2.0 * phi2 @ (np.abs(v) ** 2 - (v * (u.conj()[:, None] - 1.0)).real)
+        np.fill_diagonal(hess, diag)
         return hess

@@ -15,9 +15,9 @@ import numpy as np
 
 from .apv_objective import ApvObjective, effective_weights
 from .closed_form import update_b, update_m
-from .model import (Scenario, TransceiverState, interior_positions, mse,
-                    uniform_positions)
-from .pdip import PdipOptions, solve_pdip
+from .model import (InfeasibleStartError, Scenario, TransceiverState,
+                    interior_positions, mse, uniform_positions)
+from .pdip import PdipOptions, SingularKktError, solve_pdip
 from .pgd import PgdOptions, solve_pgd
 from .sca import ScaOptions, solve_sca
 
@@ -80,8 +80,9 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
     Deterministic: the initialization is b_k = sqrt(P_k) with a uniform array
     (shrunk strictly inside the constraints for the interior-point method),
     and no step draws randomness. The seed is only recorded in the report.
-    A position-solver failure keeps the last good state and is flagged in the
-    status.
+    A typed position-solver failure (infeasible or empty-interior start,
+    singular KKT system, LinAlgError) keeps the last good state and is flagged
+    in the status; any other exception propagates.
     """
     opts = options or AoOptions()
     if opts.method not in METHODS:
@@ -119,7 +120,7 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
                     inner = solve_sca(objective, x, opts.sca)
                 else:
                     inner = solve_pgd(objective, x, opts.pgd)
-            except Exception:
+            except (InfeasibleStartError, SingularKktError, np.linalg.LinAlgError):
                 status = f"position_solver_failed_round_{t}"
                 rounds = t
                 mse_cur = mse(b, m, scenario, x)

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown sweep axis {self.sweep!r}")
         if self.sweep != "trace" and len(self.values) == 0:
             raise ValueError("sweep needs at least one axis value")
+        if self.sweep in ("n", "k") and not all(float(v).is_integer() for v in self.values):
+            raise ValueError(f"{self.sweep} sweep values must be integers: {self.values}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.timing not in ("none", "wall"):

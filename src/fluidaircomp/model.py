@@ -13,6 +13,11 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+class InfeasibleStartError(ValueError):
+    """Raised when a position solver's start is infeasible, or when it needs a
+    strictly feasible start and the feasible set has an empty interior."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One AirComp problem instance.
@@ -46,6 +51,9 @@ class Scenario:
             raise ValueError("alphas, thetas, powers must share one length K")
         if k < 1:
             raise ValueError("need at least one user")
+        numbers = (self.alphas, self.powers, self.sigma2, self.aperture, self.min_spacing)
+        if not all(np.all(np.isfinite(value)) for value in numbers):
+            raise ValueError("scenario parameters must be finite")
         if not np.all(self.alphas > 0):
             raise ValueError("propagation gains must be positive")
         if not np.all((self.thetas > 0) & (self.thetas < np.pi)):
@@ -157,15 +165,6 @@ def is_feasible_positions(x: np.ndarray, aperture: float, min_spacing: float,
     return True
 
 
-def check_positions(x: np.ndarray, aperture: float, min_spacing: float,
-                    tol: float = 1e-9) -> np.ndarray:
-    """Validate a position vector, returning it as a float array."""
-    x = np.asarray(x, dtype=float)
-    if not is_feasible_positions(x, aperture, min_spacing, tol):
-        raise ValueError(f"infeasible antenna positions {x!r}")
-    return x
-
-
 def uniform_positions(n_antennas: int, aperture: float) -> np.ndarray:
     """Evenly spread positions spanning [0, L]; [0] for a single antenna."""
     return np.linspace(0.0, aperture, n_antennas)
@@ -183,7 +182,7 @@ def interior_positions(n_antennas: int, aperture: float, min_spacing: float,
         return np.array([aperture / 2.0])
     slack = aperture - (n_antennas - 1) * min_spacing
     if slack <= 0:
-        raise ValueError("feasible set has empty interior: L == (N-1)*L0")
+        raise InfeasibleStartError("feasible set has empty interior: L == (N-1)*L0")
     margin = min(margin_frac * aperture, slack / 4.0)
     return np.linspace(margin, aperture - margin, n_antennas)
 

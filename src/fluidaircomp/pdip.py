@@ -14,16 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .apv_objective import LinearConstraints
+from .model import InfeasibleStartError
 
 # Backtracking safety caps; gamma shrinks by b_ls each time, so 100 steps
 # reach ~1e-30 of the initial step before we declare a stall.
 _MAX_BACKTRACKS = 100
 _FIRST_DAMPING = 1e-6
 _MAX_DAMPING_ESCALATIONS = 5
-
-
-class InfeasibleStartError(ValueError):
-    """Raised when the solver is started outside the strictly feasible region."""
 
 
 class SingularKktError(RuntimeError):

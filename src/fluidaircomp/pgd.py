@@ -87,10 +87,7 @@ def solve_pgd(objective: ApvObjective, x0: np.ndarray,
     stalls, no backtracked step achieves sufficient decrease, or max_iters.
     """
     opts = options or PgdOptions()
-    constraints = objective.constraints
-    x = np.asarray(x0, dtype=float).copy()
-    if np.max(constraints.values(x)) > 0:
-        raise ValueError("x0 violates the position constraints")
+    x = objective.feasible_start(x0)
     g_cur = objective.value(x)
     history = [g_cur]
     status = "max_iters"

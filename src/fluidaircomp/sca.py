@@ -1,11 +1,11 @@
 """Successive convex approximation for the antenna-position subproblem.
 
 Each iteration replaces the trigonometric objective by a convex quadratic
-surrogate built from second-order cosine bounds (curvature bounded by 1 in
-both directions), minimizes it over the linear position constraints with the
-interior-point solver, and repeats from the new point. The surrogate majorizes
-sum_k |w_k^H a(x) - 1|^2 and touches it at the anchor, which makes the true
-objective non-increasing across iterations.
+surrogate (every cosine's curvature bounded by 1), minimizes it over the
+linear position constraints with the interior-point solver, and repeats from
+the new point. The surrogate majorizes sum_k |w_k^H a(x) - 1|^2 and touches
+it at the anchor, which makes the true objective non-increasing across
+iterations.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apv_objective import ApvObjective, EffectiveWeights
+from .apv_objective import (ApvObjective, EffectiveWeights, steered_gradient,
+                            steered_value)
 from .model import nudge_interior
 from .pdip import PdipOptions, QuadraticObjective, SolveReport, solve_pdip
 
@@ -32,57 +33,17 @@ class Surrogate:
         return float(x @ self.quad @ x - self.lin @ x + self.const)
 
 
-def power_upper_bound(weights: EffectiveWeights, k: int, anchor: np.ndarray):
-    """Quadratic majorant coefficients (A_k, v_k, c_k) of the power term P_k.
-
-    P_k(x) <= x^T A_k x - v_k^T x + c_k for all x, with equality at the anchor.
-    """
-    anchor = np.asarray(anchor, dtype=float)
-    w = weights.magnitudes[k]
-    phi = weights.spatial_freqs[k]
-    w0 = w.sum()
-    quad = phi**2 * (w0 * np.diag(w) - np.outer(w, w))
-    s = phi * anchor - weights.phases[k]
-    q = s[:, None] - s[None, :]
-    diff = anchor[:, None] - anchor[None, :]
-    pair = np.outer(w, w)
-    slope = pair * (np.sin(q) * phi + phi**2 * diff)
-    lin = np.sum(slope - slope.T, axis=1)
-    const = float(np.sum(pair * (0.5 * phi**2 * diff**2 + np.cos(q)
-                                 + np.sin(q) * phi * diff)))
-    return quad, lin, const
-
-
-def cross_lower_bound(weights: EffectiveWeights, k: int, anchor: np.ndarray):
-    """Concave minorant coefficients (At_k, vt_k, ct_k) of the cross term C_k.
-
-    C_k(x) >= -x^T At_k x + 2 vt_k^T x + 2 ct_k for all x, tight at the anchor.
-    """
-    anchor = np.asarray(anchor, dtype=float)
-    w = weights.magnitudes[k]
-    phi = weights.spatial_freqs[k]
-    quad = phi**2 * np.diag(w)
-    s = phi * anchor - weights.phases[k]
-    lin = w * (phi**2 * anchor - np.sin(s) * phi)
-    const = float(np.sum(w * (np.cos(s) + np.sin(s) * phi * anchor
-                              - 0.5 * phi**2 * anchor**2)))
-    return quad, lin, const
-
-
 def build_surrogate(weights: EffectiveWeights, anchor: np.ndarray) -> Surrogate:
-    """Aggregate per-user bounds into the convex majorant of
-    sum_k |w_k^H a(x) - 1|^2 (the +1 per user keeps the absolute level)."""
+    """Convex majorant of sum_k |w_k^H a(x) - 1|^2 = g(x) + K, tangent at the
+    anchor (see the apv_objective module notes for the closed form)."""
     anchor = np.asarray(anchor, dtype=float)
-    n = weights.n_antennas
-    quad = np.zeros((n, n))
-    lin = np.zeros(n)
-    const = 0.0
-    for k in range(weights.n_users):
-        a_k, v_k, c_k = power_upper_bound(weights, k, anchor)
-        at_k, vt_k, ct_k = cross_lower_bound(weights, k, anchor)
-        quad += a_k + at_k
-        lin += v_k + 2.0 * vt_k
-        const += c_k - 2.0 * ct_k + 1.0
+    w = weights.magnitudes
+    phi2 = weights.spatial_freqs ** 2
+    quad = np.diag(phi2 * (w.sum(axis=1) + 1.0) @ w) - (phi2[:, None] * w).T @ w
+    v, u = weights.steered(anchor)
+    lin = 2.0 * quad @ anchor - steered_gradient(weights, v, u)
+    const = float(steered_value(u) + weights.n_users - anchor @ quad @ anchor
+                  + lin @ anchor)
     return Surrogate(quad=quad, lin=lin, const=const, anchor=anchor)
 
 
@@ -106,9 +67,7 @@ def solve_sca(objective: ApvObjective, x0: np.ndarray,
     """
     opts = options or ScaOptions()
     constraints = objective.constraints
-    x = np.asarray(x0, dtype=float).copy()
-    if np.max(constraints.values(x)) > 0:
-        raise ValueError("x0 violates the position constraints")
+    x = objective.feasible_start(x0)
     n_users = objective.weights.n_users
     g_cur = objective.value(x)
     history = [g_cur]

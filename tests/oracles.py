@@ -42,6 +42,116 @@ def fd_hessian(fun, x, h=1e-4):
     return hess
 
 
+def power_term(weights, k, x):
+    """P_k(x) = |w_k^H a(x, theta_k)|^2 as the double cosine sum
+    sum_{n,l} |w_kn||w_kl| cos(q_k(x_n, x_l)), q_k = s_kn - s_kl,
+    s_kn = phi_k x_n - ang_kn."""
+    x = np.asarray(x, dtype=float)
+    w = weights.magnitudes[k]
+    s = weights.spatial_freqs[k] * x - weights.phases[k]
+    q = s[:, None] - s[None, :]
+    return float(np.sum(np.outer(w, w) * np.cos(q)))
+
+
+def cross_term(weights, k, x):
+    """C_k(x) = 2 Re(w_k^H a(x, theta_k)) as the single cosine sum."""
+    x = np.asarray(x, dtype=float)
+    w = weights.magnitudes[k]
+    s = weights.spatial_freqs[k] * x - weights.phases[k]
+    return float(2.0 * np.sum(w * np.cos(s)))
+
+
+def _phase_args(weights, x):
+    return weights.spatial_freqs[:, None] * x[None, :] - weights.phases
+
+
+def cosine_value(weights, x):
+    """g(x) = sum_k P_k(x) - C_k(x) from the K x N x N cosine tensor."""
+    x = np.asarray(x, dtype=float)
+    w = weights.magnitudes
+    s = _phase_args(weights, x)
+    q = s[:, :, None] - s[:, None, :]
+    pair = w[:, :, None] * w[:, None, :]
+    return float(np.einsum("knl,knl->", pair, np.cos(q)) - 2.0 * np.sum(w * np.cos(s)))
+
+
+def cosine_gradient(weights, x):
+    """Entry p: sum_k -2 phi_k |w_kp| [sum_l |w_kl| sin(q_k(x_p, x_l)) - sin(s_kp)]."""
+    x = np.asarray(x, dtype=float)
+    w = weights.magnitudes
+    phi = weights.spatial_freqs
+    s = _phase_args(weights, x)
+    q = s[:, :, None] - s[:, None, :]
+    inner = np.einsum("kl,knl->kn", w, np.sin(q))
+    return np.sum(-2.0 * phi[:, None] * w * (inner - np.sin(s)), axis=0)
+
+
+def cosine_hessian(weights, x):
+    """Hessian of g from the K x N x N cosine tensor."""
+    x = np.asarray(x, dtype=float)
+    w = weights.magnitudes
+    phi2 = weights.spatial_freqs[:, None] ** 2
+    s = _phase_args(weights, x)
+    q = s[:, :, None] - s[:, None, :]
+    cosq = w[:, :, None] * w[:, None, :] * np.cos(q)
+    hess = np.sum(2.0 * phi2[:, :, None] * cosq, axis=0)
+    # diagonal: the power term gives -2 phi^2 |w_p| sum_{l != p} |w_l| cos(q_pl),
+    # the cross term +2 phi^2 |w_p| cos(s_p)
+    rows = np.sum(cosq, axis=2) - w**2
+    np.fill_diagonal(hess, np.sum(2.0 * phi2 * (w * np.cos(s) - rows), axis=0))
+    return hess
+
+
+def power_upper_bound(weights, k, anchor):
+    """Quadratic majorant coefficients (A_k, v_k, c_k) of the power term P_k.
+
+    P_k(x) <= x^T A_k x - v_k^T x + c_k for all x, with equality at the anchor.
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    w = weights.magnitudes[k]
+    phi = weights.spatial_freqs[k]
+    quad = phi**2 * (w.sum() * np.diag(w) - np.outer(w, w))
+    s = phi * anchor - weights.phases[k]
+    q = s[:, None] - s[None, :]
+    diff = anchor[:, None] - anchor[None, :]
+    pair = np.outer(w, w)
+    slope = pair * (np.sin(q) * phi + phi**2 * diff)
+    lin = np.sum(slope - slope.T, axis=1)
+    const = float(np.sum(pair * (0.5 * phi**2 * diff**2 + np.cos(q)
+                                 + np.sin(q) * phi * diff)))
+    return quad, lin, const
+
+
+def cross_lower_bound(weights, k, anchor):
+    """Concave minorant coefficients (At_k, vt_k, ct_k) of the cross term C_k.
+
+    C_k(x) >= -x^T At_k x + 2 vt_k^T x + 2 ct_k for all x, tight at the anchor.
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    w = weights.magnitudes[k]
+    phi = weights.spatial_freqs[k]
+    quad = phi**2 * np.diag(w)
+    s = phi * anchor - weights.phases[k]
+    lin = w * (phi**2 * anchor - np.sin(s) * phi)
+    const = float(np.sum(w * (np.cos(s) + np.sin(s) * phi * anchor
+                              - 0.5 * phi**2 * anchor**2)))
+    return quad, lin, const
+
+
+def summed_bounds(weights, anchor):
+    """Majorant of sum_k |w_k^H a(x) - 1|^2 as sum_k (upper P_k - lower C_k + 1),
+    returned as (quad, lin, const) of x^T quad x - lin^T x + const."""
+    n = weights.n_antennas
+    quad, lin, const = np.zeros((n, n)), np.zeros(n), 0.0
+    for k in range(weights.n_users):
+        a_k, v_k, c_k = power_upper_bound(weights, k, anchor)
+        at_k, vt_k, ct_k = cross_lower_bound(weights, k, anchor)
+        quad += a_k + at_k
+        lin += v_k + 2.0 * vt_k
+        const += c_k - 2.0 * ct_k + 1.0
+    return quad, lin, const
+
+
 def brute_force_b(m, h_k, p_max, n_mag=400, n_phase=720):
     """Exhaustive polar-grid argmin of |m^H h_k b - 1|^2 over |b|^2 <= p_max."""
     c = complex(np.vdot(m, h_k))
@@ -72,7 +182,7 @@ def grid_search_apv(objective, aperture, min_spacing, resolution, chunk=262144):
         nonlocal best_val, best_x
         for start in range(0, points.shape[0], chunk):
             block = points[start:start + chunk]
-            vals = objective.value_batch(block)
+            vals = objective.value(block)
             idx = int(np.argmin(vals))
             if vals[idx] < best_val:
                 best_val = float(vals[idx])
@@ -109,7 +219,7 @@ def refine_grid_minimum(objective, aperture, min_spacing, x_start, radius,
     if n > 1:
         keep &= np.all(np.diff(points, axis=1) >= min_spacing, axis=1)
     points = points[keep]
-    vals = objective.value_batch(points)
+    vals = objective.value(points)
     idx = int(np.argmin(vals))
     return points[idx], float(vals[idx])
 

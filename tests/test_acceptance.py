@@ -10,7 +10,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from oracles import fd_gradient, grid_search_refined, qp_active_set_reference
+from oracles import (cross_lower_bound, cross_term, fd_gradient,
+                     grid_search_refined, power_term, power_upper_bound,
+                     qp_active_set_reference)
 from util import random_feasible_positions, random_state, random_weights
 
 from fluidaircomp.apv_objective import (ApvObjective, effective_weights,
@@ -21,7 +23,7 @@ from fluidaircomp.experiments import ExperimentConfig, run_sweep
 from fluidaircomp.model import interior_positions, mse, sample_scenario
 from fluidaircomp.pdip import QuadraticObjective, solve_pdip
 from fluidaircomp.pgd import project_feasible
-from fluidaircomp.sca import build_surrogate, cross_lower_bound, power_upper_bound
+from fluidaircomp.sca import build_surrogate
 
 MONOTONE_SLACK = 1e-9
 
@@ -115,11 +117,14 @@ def test_criterion_3_apv_objective_and_derivatives():
             obj = ApvObjective(weights, float(n), 0.5)
             x = rng.uniform(-0.5, n + 0.5, n)
 
+            direct = 0.0
             for k in range(k_users):
                 w = weights.magnitudes[k] * np.exp(1j * weights.phases[k])
                 inner = np.vdot(w, np.exp(1j * weights.spatial_freqs[k] * x))
-                assert abs(obj.power_term(k, x) - abs(inner) ** 2) <= 1e-10
-                assert abs(obj.cross_term(k, x) - 2 * inner.real) <= 1e-10
+                assert abs(power_term(weights, k, x) - abs(inner) ** 2) <= 1e-10
+                assert abs(cross_term(weights, k, x) - 2 * inner.real) <= 1e-10
+                direct += abs(inner) ** 2 - 2 * inner.real
+            assert abs(obj.value(x) - direct) <= 1e-10
 
             grad = obj.gradient(x)
             fd_grad = fd_gradient(obj.value, x, h=1e-6)
@@ -159,7 +164,7 @@ def test_criterion_4_sca_surrogate_soundness():
 
             surr_vals = (np.einsum("ij,jk,ik->i", samples, surrogate.quad, samples)
                          - samples @ surrogate.lin + surrogate.const)
-            true_vals = obj.value_batch(samples) + k_users
+            true_vals = obj.value(samples) + k_users
             assert np.all(surr_vals >= true_vals - 1e-8)
 
             for k in range(k_users):

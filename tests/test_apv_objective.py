@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, fd_hessian
+from oracles import (cosine_gradient, cosine_hessian, cosine_value, cross_term,
+                     fd_gradient, fd_hessian, power_term)
 from util import random_objective, random_state, random_weights
 
 from fluidaircomp.apv_objective import (ApvObjective, EffectiveWeights,
@@ -19,17 +20,17 @@ def _direct_inner(weights, k, x):
 
 def test_power_term_zero_weights():
     weights = EffectiveWeights(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
-    obj = ApvObjective(weights, 3.0, 0.5)
-    assert obj.power_term(0, np.array([0.0, 1.0, 2.0])) == 0.0
+    assert power_term(weights, 0, np.array([0.0, 1.0, 2.0])) == 0.0
 
 
 def test_power_term_single_antenna_position_free():
     rng = np.random.default_rng(4)
     weights = random_weights(rng, 1, 1)
-    obj = ApvObjective(weights, 1.0, 0.0)
     expected = weights.magnitudes[0, 0] ** 2
     for x in (0.0, 0.3, 0.9):
-        assert obj.power_term(0, np.array([x])) == pytest.approx(expected)
+        assert power_term(weights, 0, np.array([x])) == pytest.approx(expected)
+        _, u = weights.steered(np.array([x]))
+        assert abs(u[0]) ** 2 == pytest.approx(expected)
 
 
 def test_cross_term_aligned_phase_maximum():
@@ -37,8 +38,9 @@ def test_cross_term_aligned_phase_maximum():
     x1 = 0.7
     weights = EffectiveWeights(np.array([[1.0]]), np.array([[phi * x1]]),
                                np.array([phi]))
-    obj = ApvObjective(weights, 1.0, 0.0)
-    assert obj.cross_term(0, np.array([x1])) == pytest.approx(2.0)
+    assert cross_term(weights, 0, np.array([x1])) == pytest.approx(2.0)
+    _, u = weights.steered(np.array([x1]))
+    assert 2.0 * u[0].real == pytest.approx(2.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,22 +49,50 @@ def test_terms_match_direct_steering_evaluation(seed):
     rng = np.random.default_rng(seed)
     k_users, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
     weights = random_weights(rng, k_users, n)
-    obj = ApvObjective(weights, float(n), 0.5)
     x = rng.uniform(-1, n + 1, n)  # evaluation needs no feasibility
+    _, u = weights.steered(x)
     for k in range(k_users):
         inner = _direct_inner(weights, k, x)
-        assert obj.power_term(k, x) == pytest.approx(abs(inner) ** 2, abs=1e-10)
-        assert obj.cross_term(k, x) == pytest.approx(2 * inner.real, abs=1e-10)
+        assert power_term(weights, k, x) == pytest.approx(abs(inner) ** 2, abs=1e-10)
+        assert cross_term(weights, k, x) == pytest.approx(2 * inner.real, abs=1e-10)
+        assert u[k] == pytest.approx(inner, abs=1e-10)
 
 
 def test_value_is_sum_of_terms_and_batch_agrees():
     rng = np.random.default_rng(8)
     obj = random_objective(rng, 4, 5)
     pts = rng.uniform(0, 5, (7, 5))
-    expected = [sum(obj.power_term(k, p) - obj.cross_term(k, p) for k in range(4))
-                for p in pts]
+    expected = [sum(power_term(obj.weights, k, p) - cross_term(obj.weights, k, p)
+                    for k in range(4)) for p in pts]
     assert np.allclose([obj.value(p) for p in pts], expected, atol=1e-10)
-    assert np.allclose(obj.value_batch(pts), expected, atol=1e-10)
+    assert np.allclose(obj.value(pts), expected, atol=1e-10)
+
+
+def test_value_on_a_stack_equals_pointwise_calls():
+    rng = np.random.default_rng(9)
+    for k_users, n in ((1, 1), (1, 4), (3, 1), (4, 5)):
+        obj = random_objective(rng, k_users, n)
+        pts = rng.uniform(-1, n + 1, (6, n))
+        stacked = obj.value(pts)
+        assert stacked.shape == (6,)
+        assert np.allclose(stacked, [obj.value(p) for p in pts], rtol=0, atol=1e-12)
+
+
+def test_kernel_matches_cosine_sum_references():
+    # zero weights, N = 1, K = 1 and infeasible positions are all in the draws
+    rng = np.random.default_rng(10)
+    for trial in range(300):
+        k_users = 1 if trial % 5 == 0 else int(rng.integers(1, 6))
+        n = 1 if trial % 7 == 0 else int(rng.integers(1, 7))
+        weights = random_weights(rng, k_users, n,
+                                 zero_frac=0.3 if trial % 3 == 0 else 0.0)
+        obj = ApvObjective(weights, float(n), 0.5)
+        x = rng.uniform(-1, n + 1, n)
+        for got, ref in ((obj.value(x), cosine_value(weights, x)),
+                         (obj.gradient(x), cosine_gradient(weights, x)),
+                         (obj.hessian(x), cosine_hessian(weights, x))):
+            scale = 1.0 + np.max(np.abs(ref))
+            assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-10 * scale
 
 
 def test_residual_identity_with_effective_weights():
@@ -136,12 +166,11 @@ def test_term_bounds():
     rng = np.random.default_rng(30)
     for _ in range(200):
         weights = random_weights(rng, 2, 3, zero_frac=0.2)
-        obj = ApvObjective(weights, 3.0, 0.5)
         x = rng.uniform(-1, 4, 3)
         for k in range(2):
             total = 2.0 * np.sum(weights.magnitudes[k])
-            assert obj.power_term(k, x) >= -1e-9
-            assert -total - 1e-9 <= obj.cross_term(k, x) <= total + 1e-9
+            assert power_term(weights, k, x) >= -1e-9
+            assert -total - 1e-9 <= cross_term(weights, k, x) <= total + 1e-9
 
 
 def test_constraints_boundary_contact():

@@ -115,6 +115,17 @@ def test_degenerate_interior_rejects_pdip_start():
         ao_optimize(scenario, AoOptions(method="pdip"))
 
 
+def test_programming_error_in_position_solver_propagates(monkeypatch):
+    # only typed solver failures become a status; anything else is a bug
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr("fluidaircomp.driver.solve_pgd", broken)
+    scenario = sample_scenario(3, 2, 0.0, seed=4)
+    with pytest.raises(TypeError):
+        ao_optimize(scenario, AoOptions(method="pgd", max_rounds=3))
+
+
 def test_single_antenna_runs_every_method():
     scenario = sample_scenario(1, 3, 0.0, seed=9)
     finals = {}

@@ -35,6 +35,15 @@ def test_config_validation():
         ExperimentConfig(timing="cpu")
 
 
+@pytest.mark.parametrize("sweep, values", [
+    ("n", (5.5,)), ("n", (2.0, 3.25)), ("k", (4.5,)), ("k", (float("inf"),)),
+], ids=["n-5.5", "n-3.25", "k-4.5", "k-inf"])
+def test_config_rejects_fractional_axis_values(sweep, values):
+    ExperimentConfig(sweep=sweep, values=(2.0, 3.0))
+    with pytest.raises(ValueError):
+        ExperimentConfig(sweep=sweep, values=values)
+
+
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -135,6 +135,21 @@ def test_scenario_rejects_bad_geometry():
         Scenario(4, [1, 1], [1, 1], [1, 1], 1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("sigma2", np.nan), ("sigma2", np.inf), ("aperture", np.nan),
+    ("aperture", np.inf), ("min_spacing", np.nan),
+    pytest.param("powers", [1.0, np.inf], id="powers-inf"),
+    pytest.param("alphas", [np.inf, 1.0], id="alphas-inf"),
+])
+def test_scenario_rejects_non_finite(field, bad):
+    params = dict(n_antennas=2, alphas=[1.0, 0.8], thetas=[1.0, 2.0],
+                  powers=[1.0, 1.0], sigma2=1.0, aperture=2.0, min_spacing=0.5)
+    Scenario(**params)
+    params[field] = bad
+    with pytest.raises(ValueError):
+        Scenario(**params)
+
+
 def test_channel_matrix_matches_per_user():
     scenario = sample_scenario(4, 3, 0.0, seed=9)
     x = np.sort(np.random.default_rng(0).uniform(0, scenario.aperture, 4))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_search_refined, project_reference
-from util import random_feasible_positions, warmed_objective
+from util import random_feasible_positions, random_objective, warmed_objective
 
 from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights, position_constraints
 from fluidaircomp.pgd import PgdOptions, pava_nondecreasing, project_feasible, solve_pgd
@@ -81,6 +81,17 @@ def test_projection_idempotent_and_nonexpansive(seed):
 def test_projection_infeasible_geometry_raises():
     with pytest.raises(ValueError):
         project_feasible(np.zeros(4), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_solve_accepts_projected_starts(n):
+    # projected points may miss a spacing row by a few ulps; the start check
+    # must still take them, or PGD would reject its own previous iterate
+    rng = np.random.default_rng(n)
+    obj = random_objective(rng, 3, n)
+    for _ in range(1000):
+        p = project_feasible(rng.uniform(-2, n + 2, n), obj.aperture, obj.min_spacing)
+        solve_pgd(obj, p, PgdOptions(max_iters=1))
 
 
 def test_solve_stationary_interior_start_returns_immediately():

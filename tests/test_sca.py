@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import grid_search_refined
+from oracles import (cross_lower_bound, cross_term, grid_search_refined,
+                     power_term, power_upper_bound, summed_bounds)
 from util import random_objective, random_weights, warmed_objective
 
 from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights
-from fluidaircomp.sca import (ScaOptions, build_surrogate, cross_lower_bound,
-                              power_upper_bound, solve_sca)
+from fluidaircomp.sca import ScaOptions, build_surrogate, solve_sca
 
 
 def quad_eval(quad, lin, const, x):
@@ -19,6 +19,9 @@ def test_bounds_zero_weights_give_zero_coefficients():
     for build in (power_upper_bound, cross_lower_bound):
         parts = build(weights, 0, anchor)
         assert all(np.all(p == 0) for p in parts)
+    surrogate = build_surrogate(weights, anchor)
+    assert np.all(surrogate.quad == 0) and np.all(surrogate.lin == 0)
+    assert surrogate.const == 1.0
 
 
 def test_power_bound_tight_and_majorizing():
@@ -26,16 +29,15 @@ def test_power_bound_tight_and_majorizing():
     for _ in range(50):
         n = int(rng.integers(1, 6))
         weights = random_weights(rng, int(rng.integers(1, 4)), n)
-        obj = ApvObjective(weights, float(n), 0.5)
         anchor = rng.uniform(0, n, n)
         for k in range(weights.n_users):
             quad, lin, const = power_upper_bound(weights, k, anchor)
             at_anchor = quad_eval(quad, lin, const, anchor)
-            assert at_anchor == pytest.approx(obj.power_term(k, anchor),
+            assert at_anchor == pytest.approx(power_term(weights, k, anchor),
                                               abs=1e-9 * (1 + abs(at_anchor)))
             for _ in range(20):
                 x = rng.uniform(-1, n + 1, n)
-                assert quad_eval(quad, lin, const, x) >= obj.power_term(k, x) - 1e-9
+                assert quad_eval(quad, lin, const, x) >= power_term(weights, k, x) - 1e-9
 
 
 def test_cross_bound_tight_and_minorizing():
@@ -43,17 +45,31 @@ def test_cross_bound_tight_and_minorizing():
     for _ in range(50):
         n = int(rng.integers(1, 6))
         weights = random_weights(rng, int(rng.integers(1, 4)), n)
-        obj = ApvObjective(weights, float(n), 0.5)
         anchor = rng.uniform(0, n, n)
         for k in range(weights.n_users):
             quad, lin, const = cross_lower_bound(weights, k, anchor)
             bound_at = float(-anchor @ quad @ anchor + 2 * lin @ anchor + 2 * const)
-            assert bound_at == pytest.approx(obj.cross_term(k, anchor),
+            assert bound_at == pytest.approx(cross_term(weights, k, anchor),
                                              abs=1e-9 * (1 + abs(bound_at)))
             for _ in range(20):
                 x = rng.uniform(-1, n + 1, n)
                 lower = float(-x @ quad @ x + 2 * lin @ x + 2 * const)
-                assert lower <= obj.cross_term(k, x) + 1e-9
+                assert lower <= cross_term(weights, k, x) + 1e-9
+
+
+def test_surrogate_equals_sum_of_per_user_bounds():
+    rng = np.random.default_rng(47)
+    for trial in range(200):
+        n = 1 if trial % 7 == 0 else int(rng.integers(1, 7))
+        k_users = 1 if trial % 5 == 0 else int(rng.integers(1, 6))
+        weights = random_weights(rng, k_users, n,
+                                 zero_frac=0.3 if trial % 3 == 0 else 0.0)
+        anchor = rng.uniform(-1, n + 1, n)
+        surrogate = build_surrogate(weights, anchor)
+        for got, ref in zip((surrogate.quad, surrogate.lin, surrogate.const),
+                            summed_bounds(weights, anchor)):
+            scale = 1.0 + np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-10 * scale
 
 
 def test_surrogate_dominates_residual_sum():
