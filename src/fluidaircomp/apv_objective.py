@@ -16,12 +16,12 @@ so the off-diagonal Hessian is the matrix product 2 Re(V^T Phi^2 conj(V)).
 The full residual sum relates to g through sum_k |w_k^H a - 1|^2 = g(x) + K.
 
 Bounding every cosine's curvature by 1 gives the SCA majorant of g + K, a
-convex quadratic x^T Q x - c^T x + d with an anchor-independent
+convex quadratic x^T Q x + c^T x + d with an anchor-independent
 
     Q = diag(sum_k phi_k^2 (sum_n |w_kn| + 1) |w_k|) - |W|^T Phi^2 |W|.
 
 It touches g + K at the anchor a and is smooth, so it is also tangent there:
-c = 2 Q a - grad g(a) and d = g(a) + K - a^T Q a + c^T a.
+c = grad g(a) - 2 Q a and d = g(a) + K - a^T Q a - c^T a.
 """
 
 from __future__ import annotations

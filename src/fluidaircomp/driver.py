@@ -17,7 +17,7 @@ from .apv_objective import ApvObjective, effective_weights
 from .closed_form import update_b, update_m
 from .model import (InfeasibleStartError, Scenario, TransceiverState,
                     interior_positions, mse, uniform_positions)
-from .pdip import PdipOptions, SingularKktError, solve_pdip
+from .pdip import SingularKktError, solve_pdip
 from .pgd import PgdOptions, solve_pgd
 from .sca import ScaOptions, solve_sca
 
@@ -46,7 +46,6 @@ class AoOptions:
     method: str = "pdip"
     max_rounds: int = 100
     tol_mse: float = 1e-6
-    pdip: PdipOptions = field(default_factory=PdipOptions)
     sca: ScaOptions = field(default_factory=_sca_round_options)
     pgd: PgdOptions = field(default_factory=_pgd_round_options)
 
@@ -66,11 +65,6 @@ class AoReport:
     method: str
     seed: int | None
     inner_iterations: list
-
-
-def fpa_positions(n_antennas: int, aperture: float) -> np.ndarray:
-    """Fixed uniform array spanning [0, L]; degenerates to [0] for N = 1."""
-    return uniform_positions(n_antennas, aperture)
 
 
 def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
@@ -115,7 +109,7 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
             )
             try:
                 if opts.method == "pdip":
-                    inner = solve_pdip(objective, objective.constraints, x, opts.pdip)
+                    inner = solve_pdip(objective, objective.constraints, x)
                 elif opts.method == "sca":
                     inner = solve_sca(objective, x, opts.sca)
                 else:

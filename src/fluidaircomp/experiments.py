@@ -2,9 +2,9 @@
 
 All methods in a given (axis value, trial) cell see the byte-identical
 scenario (seed = base seed + trial), so comparisons are paired. Cells are
-independent work items and may run in a process pool; within each axis value
-the rows are gathered and sorted before writing, so the CSV does not depend
-on the worker count.
+independent work items and may run in one process pool per sweep; results
+come back in cell order and each axis value's rows are sorted before writing,
+so the CSV does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .driver import METHODS, AoOptions, ao_optimize
 from .model import sample_scenario
@@ -145,6 +147,16 @@ def _run_cell(args) -> list[tuple]:
     return rows
 
 
+def _map_cells(cells: list, workers: int):
+    """Yield each cell's rows in cell order, from one pool for the whole sweep
+    when more than one worker and more than one cell."""
+    if workers > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_cell, cells, chunksize=1)
+    else:
+        yield from map(_run_cell, cells)
+
+
 def _format_row(row: tuple) -> list[str]:
     axis, value, trial, method, mse_val, rounds, seconds, seed = row
     return [axis, f"{value:g}", str(trial), method, f"{mse_val:.12g}",
@@ -169,17 +181,14 @@ def run_sweep(config: ExperimentConfig, out_path: str | None = None) -> list[tup
     if directory:
         os.makedirs(directory, exist_ok=True)
     rows: list[tuple] = []
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    cells = [(config, value, trial) for value in values for trial in range(config.trials)]
+    with open(path, "w", newline="", encoding="utf-8") as fh, \
+            closing(_map_cells(cells, workers)) as results:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for value in values:
-            cells = [(config, value, trial) for trial in range(config.trials)]
-            if workers > 1 and len(cells) > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(_run_cell, cells, chunksize=1))
-            else:
-                results = [_run_cell(cell) for cell in cells]
-            block = [row for cell_rows in results for row in cell_rows]
+        for _ in values:
+            block = [row for cell_rows in islice(results, config.trials)
+                     for row in cell_rows]
             block.sort(key=lambda r: (r[2], method_order[r[3]], r[1]))
             for row in block:
                 writer.writerow(_format_row(row))

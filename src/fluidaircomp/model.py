@@ -175,14 +175,15 @@ def interior_positions(n_antennas: int, aperture: float, min_spacing: float,
     """Evenly spread positions strictly inside every constraint.
 
     Shrinks the uniform grid away from both segment ends by a margin small
-    enough that the spacing constraints stay strictly slack too; raises when
-    the feasible set has an empty interior (L == (N-1)*L0).
+    enough that the spacing constraints stay strictly slack too; a single
+    antenna sits at L/2. Raises when the feasible set has an empty interior
+    (L <= (N-1)*L0, including L = 0 for N = 1).
     """
-    if n_antennas == 1:
-        return np.array([aperture / 2.0])
     slack = aperture - (n_antennas - 1) * min_spacing
     if slack <= 0:
-        raise InfeasibleStartError("feasible set has empty interior: L == (N-1)*L0")
+        raise InfeasibleStartError("feasible set has empty interior: L <= (N-1)*L0")
+    if n_antennas == 1:
+        return np.array([aperture / 2.0])
     margin = min(margin_frac * aperture, slack / 4.0)
     return np.linspace(margin, aperture - margin, n_antennas)
 

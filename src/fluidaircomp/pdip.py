@@ -2,9 +2,10 @@
 
 The objective is supplied as an oracle exposing value(x), gradient(x), and
 hessian(x); constraints are affine (LinearConstraints). The same solver runs
-both the non-convex antenna-position problem and the convex quadratic
-subproblems built by the SCA routine (with zero damping the latter needs no
-safeguards).
+both the non-convex antenna-position problem, whose Hessian may be
+indefinite (hence the damping in newton_step), and the convex quadratic
+subproblems built by the SCA routine. The iteration is the primal-dual method
+of Boyd & Vandenberghe, Convex Optimization, section 11.7.
 """
 
 from __future__ import annotations
@@ -16,29 +17,27 @@ import numpy as np
 from .apv_objective import LinearConstraints
 from .model import InfeasibleStartError
 
-# Backtracking safety caps; gamma shrinks by b_ls each time, so 100 steps
-# reach ~1e-30 of the initial step before we declare a stall.
+# Barrier scaling xi > 1: delta = xi * m / eta.
+_XI = 10.0
+# Stop when the surrogate duality gap eta = -f(x)^T nu is at most _EPS and
+# the dual residual norm is at most _EPS_FEAS.
+_EPS = 1e-8
+_EPS_FEAS = 1e-8
+_MAX_ITERS = 200
+# Line search: accept a step once the KKT residual norm has fallen by the
+# factor 1 - _A_LS * gamma, shrinking gamma by _B_LS between trials; 100
+# backtracks reach ~1e-30 of the initial step before we declare a stall.
+_A_LS = 0.05
+_B_LS = 0.5
 _MAX_BACKTRACKS = 100
+# The first KKT solve is undamped; on failure rho*I is added to the Hessian,
+# starting at _FIRST_DAMPING and growing tenfold per escalation.
 _FIRST_DAMPING = 1e-6
 _MAX_DAMPING_ESCALATIONS = 5
 
 
 class SingularKktError(RuntimeError):
     """Raised when the KKT system stays unsolvable through damping escalation."""
-
-
-@dataclass
-class PdipOptions:
-    """Solver knobs: barrier scaling xi > 1, duality-gap and dual-residual
-    tolerances, line-search constants a_ls in (0, 0.5) and b_ls in (0, 1)."""
-
-    xi: float = 10.0
-    eps: float = 1e-8
-    eps_feas: float = 1e-8
-    max_iters: int = 200
-    a_ls: float = 0.05
-    b_ls: float = 0.5
-    hessian_damping: float = 0.0
 
 
 @dataclass
@@ -88,25 +87,27 @@ def residuals(objective, constraints: LinearConstraints, x: np.ndarray,
 
 
 def newton_step(objective, constraints: LinearConstraints, x: np.ndarray,
-                nu: np.ndarray, delta: float, damping: float = 0.0):
-    """Solve the primal-dual Newton system for (dx, dnu).
+                nu: np.ndarray, r_dual: np.ndarray, r_cent: np.ndarray):
+    """Solve the primal-dual Newton system at (x, nu) with the given residuals
+    for (dx, dnu).
 
     The objective Hessian may be indefinite or singular here; on a failed or
     inaccurate factorization a Levenberg-style rho*I term is added, escalating
     rho tenfold up to 5 times before giving up.
     """
-    r_dual, r_cent = residuals(objective, constraints, x, nu, delta)
     f = constraints.values(x)
     jac = constraints.jacobian
     n = x.size
     hess = objective.hessian(x)
+    hess_diag = np.diag(hess)
+    kkt = np.block([
+        [hess, jac.T],
+        [-nu[:, None] * jac, -np.diag(f)],
+    ])
     rhs = -np.concatenate([r_dual, r_cent])
-    rho = damping
+    rho = 0.0
     for _ in range(_MAX_DAMPING_ESCALATIONS + 1):
-        kkt = np.block([
-            [hess + rho * np.eye(n), jac.T],
-            [-nu[:, None] * jac, -np.diag(f)],
-        ])
+        kkt[np.diag_indices(n)] = hess_diag + rho
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
@@ -119,92 +120,79 @@ def newton_step(objective, constraints: LinearConstraints, x: np.ndarray,
     raise SingularKktError("KKT system unsolvable after damping escalation")
 
 
-def _residual_norm(objective, constraints, x, nu, delta) -> float:
-    r_dual, r_cent = residuals(objective, constraints, x, nu, delta)
-    return float(np.sqrt(np.sum(r_dual**2) + np.sum(r_cent**2)))
-
-
-def solve_pdip(objective, constraints: LinearConstraints, x0: np.ndarray,
-               options: PdipOptions | None = None,
-               nu0: np.ndarray | None = None) -> SolveReport:
+def solve_pdip(objective, constraints: LinearConstraints,
+               x0: np.ndarray) -> SolveReport:
     """Run the interior-point iteration from a strictly feasible x0.
 
     Every accepted iterate keeps f(x) < 0 and nu > 0; the line search first
     caps the step to preserve nu > 0, then backtracks into feasibility, then
     backtracks until the KKT residual norm has decreased. Success means the
     dual residual and the surrogate duality gap eta = -f(x)^T nu are below
-    their tolerances; anything else is reported in the status field.
+    their tolerances; anything else is reported in the status field. The
+    residuals (and so the gradient) are evaluated once at x0 and once at each
+    strictly feasible trial point; an accepted trial point's are reused.
     """
-    opts = options or PdipOptions()
     x = np.asarray(x0, dtype=float).copy()
     f = constraints.values(x)
     if np.max(f) >= 0:
         raise InfeasibleStartError("x0 must satisfy f(x0) < 0 strictly")
-    if nu0 is None:
-        nu = -1.0 / f
-    else:
-        nu = np.asarray(nu0, dtype=float).copy()
-        if np.min(nu) <= 0:
-            raise ValueError("nu0 must be strictly positive")
-
+    nu = -1.0 / f
     m_c = constraints.n_constraints
+    eta = float(-f @ nu)
+    r_dual, _ = residuals(objective, constraints, x, nu, _XI * m_c / eta)
     history = [objective.value(x)]
     status = "max_iters"
     iterations = 0
-    eta = float(-f @ nu)
 
-    for _ in range(opts.max_iters):
-        r_dual = objective.gradient(x) + constraints.jacobian.T @ nu
-        if np.linalg.norm(r_dual) <= opts.eps_feas and eta <= opts.eps:
+    while True:
+        if np.linalg.norm(r_dual) <= _EPS_FEAS and eta <= _EPS:
             status = "converged"
             break
-        delta = opts.xi * m_c / eta
+        if iterations == _MAX_ITERS:
+            break
+        delta = _XI * m_c / eta
+        r_cent = -nu * f - 1.0 / delta
         try:
-            dx, dnu = newton_step(objective, constraints, x, nu, delta,
-                                  damping=opts.hessian_damping)
+            dx, dnu = newton_step(objective, constraints, x, nu, r_dual, r_cent)
         except SingularKktError:
             status = "singular_kkt"
             break
 
         # stage 1: largest step keeping nu positive
         shrinking = dnu < 0
-        gamma_max = 1.0
+        gamma = 1.0
         if np.any(shrinking):
-            gamma_max = min(1.0, 0.99 * np.min(-nu[shrinking] / dnu[shrinking]))
-        gamma = gamma_max
-        base_norm = _residual_norm(objective, constraints, x, nu, delta)
+            gamma = min(1.0, 0.99 * np.min(-nu[shrinking] / dnu[shrinking]))
+        base_norm = float(np.sqrt(np.sum(r_dual**2) + np.sum(r_cent**2)))
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + gamma * dx
-            if np.max(constraints.values(x_try)) < 0:
+            f_try = constraints.values(x_try)
+            if np.max(f_try) < 0:
                 nu_try = nu + gamma * dnu
-                trial_norm = _residual_norm(objective, constraints, x_try, nu_try, delta)
-                if trial_norm <= (1.0 - opts.a_ls * gamma) * base_norm:
+                r_dual_try, r_cent_try = residuals(objective, constraints,
+                                                   x_try, nu_try, delta)
+                trial_norm = float(np.sqrt(np.sum(r_dual_try**2)
+                                           + np.sum(r_cent_try**2)))
+                if trial_norm <= (1.0 - _A_LS * gamma) * base_norm:
                     accepted = True
                     break
-            gamma *= opts.b_ls
+            gamma *= _B_LS
         if not accepted:
             status = "line_search_stall"
             break
 
-        x = x_try
-        nu = nu_try
-        f = constraints.values(x)
+        x, nu, f, r_dual = x_try, nu_try, f_try, r_dual_try
         eta = float(-f @ nu)
         iterations += 1
         history.append(objective.value(x))
 
-    r_dual = objective.gradient(x) + constraints.jacobian.T @ nu
-    converged = status == "converged" or (
-        np.linalg.norm(r_dual) <= opts.eps_feas and eta <= opts.eps)
-    if converged:
-        status = "converged"
     return SolveReport(
         x=x,
         value=history[-1],
         iterations=iterations,
         status=status,
-        converged=converged,
+        converged=status == "converged",
         value_history=history,
         dual_residual=float(np.linalg.norm(r_dual)),
         duality_gap=eta,

@@ -10,41 +10,29 @@ iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .apv_objective import (ApvObjective, EffectiveWeights, steered_gradient,
                             steered_value)
 from .model import nudge_interior
-from .pdip import PdipOptions, QuadraticObjective, SolveReport, solve_pdip
+from .pdip import QuadraticObjective, SolveReport, solve_pdip
 
 
-@dataclass(frozen=True)
-class Surrogate:
-    """Convex quadratic upper bound x^T quad x - lin^T x + const, tight at anchor."""
-
-    quad: np.ndarray
-    lin: np.ndarray
-    const: float
-    anchor: np.ndarray
-
-    def value(self, x: np.ndarray) -> float:
-        return float(x @ self.quad @ x - self.lin @ x + self.const)
-
-
-def build_surrogate(weights: EffectiveWeights, anchor: np.ndarray) -> Surrogate:
-    """Convex majorant of sum_k |w_k^H a(x) - 1|^2 = g(x) + K, tangent at the
-    anchor (see the apv_objective module notes for the closed form)."""
+def build_surrogate(weights: EffectiveWeights, anchor: np.ndarray) -> QuadraticObjective:
+    """Convex majorant x^T quad x + lin^T x + const of
+    sum_k |w_k^H a(x) - 1|^2 = g(x) + K, tangent at the anchor (see the
+    apv_objective module notes for the closed form)."""
     anchor = np.asarray(anchor, dtype=float)
     w = weights.magnitudes
     phi2 = weights.spatial_freqs ** 2
     quad = np.diag(phi2 * (w.sum(axis=1) + 1.0) @ w) - (phi2[:, None] * w).T @ w
     v, u = weights.steered(anchor)
-    lin = 2.0 * quad @ anchor - steered_gradient(weights, v, u)
+    lin = steered_gradient(weights, v, u) - 2.0 * quad @ anchor
     const = float(steered_value(u) + weights.n_users - anchor @ quad @ anchor
-                  + lin @ anchor)
-    return Surrogate(quad=quad, lin=lin, const=const, anchor=anchor)
+                  - lin @ anchor)
+    return QuadraticObjective(quad=quad, lin=lin, const=const)
 
 
 @dataclass
@@ -52,7 +40,6 @@ class ScaOptions:
     tol_x: float = 1e-6
     tol_obj: float = 1e-9
     max_outer: int = 200
-    pdip: PdipOptions = field(default_factory=PdipOptions)
 
 
 def solve_sca(objective: ApvObjective, x0: np.ndarray,
@@ -75,10 +62,8 @@ def solve_sca(objective: ApvObjective, x0: np.ndarray,
     iterations = 0
     for _ in range(opts.max_outer):
         surrogate = build_surrogate(objective.weights, x)
-        qp = QuadraticObjective(quad=surrogate.quad, lin=-surrogate.lin,
-                                const=surrogate.const)
         start = nudge_interior(x, objective.aperture, objective.min_spacing)
-        inner = solve_pdip(qp, constraints, start, opts.pdip)
+        inner = solve_pdip(surrogate, constraints, start)
         if not inner.converged:
             status = f"inner_qp_{inner.status}_at_outer_{iterations}"
             break

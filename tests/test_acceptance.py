@@ -163,7 +163,7 @@ def test_criterion_4_sca_surrogate_soundness():
             assert abs(surrogate.value(anchor) - level) <= 1e-8 * (1 + abs(level))
 
             surr_vals = (np.einsum("ij,jk,ik->i", samples, surrogate.quad, samples)
-                         - samples @ surrogate.lin + surrogate.const)
+                         + samples @ surrogate.lin + surrogate.const)
             true_vals = obj.value(samples) + k_users
             assert np.all(surr_vals >= true_vals - 1e-8)
 

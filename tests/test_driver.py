@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
-from fluidaircomp.driver import METHODS, AoOptions, ao_optimize, fpa_positions
-from fluidaircomp.model import Scenario, is_feasible_positions, mse, sample_scenario
+from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
+from fluidaircomp.model import (Scenario, is_feasible_positions, mse, sample_scenario,
+                                uniform_positions)
 
 
 def test_fpa_positions_two_antennas():
-    assert np.allclose(fpa_positions(2, 2.0), [0.0, 2.0])
+    assert np.allclose(uniform_positions(2, 2.0), [0.0, 2.0])
 
 
 def test_fpa_positions_five_antennas():
-    assert np.allclose(fpa_positions(5, 5.0), [0.0, 1.25, 2.5, 3.75, 5.0])
+    assert np.allclose(uniform_positions(5, 5.0), [0.0, 1.25, 2.5, 3.75, 5.0])
 
 
 def test_fpa_positions_spacing_respects_default_geometry():
     for n in range(2, 26):
-        x = fpa_positions(n, float(n))
+        x = uniform_positions(n, float(n))
         assert np.min(np.diff(x)) >= 0.5
 
 
@@ -70,7 +71,7 @@ def test_determinism(method):
 def test_fpa_never_moves_positions():
     scenario = sample_scenario(5, 4, 0.0, seed=3)
     report = ao_optimize(scenario, AoOptions(method="fpa", max_rounds=20))
-    assert np.array_equal(report.state.x, fpa_positions(5, scenario.aperture))
+    assert np.array_equal(report.state.x, uniform_positions(5, scenario.aperture))
     assert report.inner_iterations == []
 
 
@@ -110,9 +111,12 @@ def test_degenerate_interior_flags_position_solver():
 
 
 def test_degenerate_interior_rejects_pdip_start():
-    scenario = Scenario(3, [1.0, 0.8], [1.0, 2.0], [1.0, 1.0], 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        ao_optimize(scenario, AoOptions(method="pdip"))
+    # L == (N-1)*L0, including a single antenna on a zero-length segment
+    for n, aperture, spacing in ((3, 1.0, 0.5), (1, 0.0, 0.0)):
+        scenario = Scenario(n, [1.0, 0.8], [1.0, 2.0], [1.0, 1.0], 1.0,
+                            aperture, spacing)
+        with pytest.raises(ValueError):
+            ao_optimize(scenario, AoOptions(method="pdip"))
 
 
 def test_programming_error_in_position_solver_propagates(monkeypatch):

@@ -176,3 +176,5 @@ def test_interior_positions_strictly_feasible():
 def test_interior_positions_empty_interior_raises():
     with pytest.raises(ValueError):
         interior_positions(3, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        interior_positions(1, 0.0, 0.5)

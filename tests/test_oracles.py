@@ -9,7 +9,7 @@ from util import warmed_objective
 
 from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights, position_constraints
 from fluidaircomp.model import interior_positions
-from fluidaircomp.pdip import QuadraticObjective, solve_pdip
+from fluidaircomp.pdip import solve_pdip
 from fluidaircomp.pgd import project_feasible
 from fluidaircomp.sca import build_surrogate
 
@@ -109,10 +109,9 @@ def test_qp_reference_agrees_with_pdip_on_surrogate_qp():
     _, objective, x0 = warmed_objective(seed=4, n_antennas=3, n_users=2)
     surrogate = build_surrogate(objective.weights, x0)
     cons = objective.constraints
-    qp = QuadraticObjective(surrogate.quad, -surrogate.lin, surrogate.const)
-    report = solve_pdip(qp, cons, interior_positions(3, objective.aperture,
-                                                     objective.min_spacing))
-    ref = qp_active_set_reference(surrogate.quad, -surrogate.lin, cons)
+    report = solve_pdip(surrogate, cons, interior_positions(3, objective.aperture,
+                                                            objective.min_spacing))
+    ref = qp_active_set_reference(surrogate.quad, surrogate.lin, cons)
     assert report.converged
     assert np.max(np.abs(report.x - ref)) < 1e-6
 

@@ -19,6 +19,12 @@ def unit_box(n=1):
     return LinearConstraints(matrix=mat, offsets=off)
 
 
+def step_at(objective, constraints, x, nu, delta):
+    """newton_step at (x, nu) with the residuals for barrier parameter delta."""
+    return newton_step(objective, constraints, x, nu,
+                       *residuals(objective, constraints, x, nu, delta))
+
+
 def central_path_point_1d(target, delta):
     """Solve the 1-D central-path equations for (x - target)^2 on [0, 1].
 
@@ -73,7 +79,7 @@ def test_newton_step_zero_at_central_path():
     delta = 10.0
     obj = QuadraticObjective(np.eye(1), np.array([-0.6]), 0.09)
     x, nu = central_path_point_1d(0.3, delta)
-    dx, dnu = newton_step(obj, unit_box(), np.array([x]), nu, delta)
+    dx, dnu = step_at(obj, unit_box(), np.array([x]), nu, delta)
     assert np.max(np.abs(dx)) < 1e-9
     assert np.max(np.abs(dnu)) < 1e-8
 
@@ -86,7 +92,7 @@ def test_newton_step_lands_on_central_path_for_quadratic():
     x_star, nu_star = central_path_point_1d(0.3, delta)
     x = np.array([x_star + 1e-4])
     nu = nu_star + np.array([1e-4, -1e-4])
-    dx, dnu = newton_step(obj, unit_box(), x, nu, delta)
+    dx, dnu = step_at(obj, unit_box(), x, nu, delta)
     assert abs((x + dx)[0] - x_star) < 1e-8
     assert np.max(np.abs(nu + dnu - nu_star)) < 1e-6
 
@@ -122,7 +128,7 @@ def test_newton_step_escalates_damping_to_descent_direction():
     ])
     assert abs(np.linalg.det(kkt)) < 1e-12  # singular by construction
 
-    dx, dnu = newton_step(Indefinite(), cons, x, nu, delta)
+    dx, dnu = step_at(Indefinite(), cons, x, nu, delta)
     # the damped solve blows up along the singular direction, so descent only
     # shows below the second-order crossover; scan shrinking steps like the
     # solver's backtracking would
@@ -146,7 +152,7 @@ def test_newton_step_gives_up_on_broken_oracle():
             return np.array([[np.nan]])
 
     with pytest.raises(SingularKktError):
-        newton_step(Broken(), unit_box(), np.array([0.5]), np.ones(2), delta=1.0)
+        step_at(Broken(), unit_box(), np.array([0.5]), np.ones(2), delta=1.0)
 
 
 def test_solve_interior_optimum():
@@ -169,12 +175,6 @@ def test_solve_requires_strictly_feasible_start():
     obj = QuadraticObjective(np.eye(1), np.zeros(1))
     with pytest.raises(InfeasibleStartError):
         solve_pdip(obj, unit_box(), np.array([1.0]))  # boundary, not strict
-
-
-def test_solve_rejects_nonpositive_nu0():
-    obj = QuadraticObjective(np.eye(1), np.zeros(1))
-    with pytest.raises(ValueError):
-        solve_pdip(obj, unit_box(), np.array([0.5]), nu0=np.array([0.0, 1.0]))
 
 
 def test_solve_matches_active_set_reference_on_position_qps():
@@ -219,6 +219,48 @@ def test_solve_strict_feasibility_along_the_run():
     assert report.status in ("converged", "max_iters", "line_search_stall")
     assert seen
     assert all(np.max(cons.values(x)) < 0 for x in seen)
+
+
+def test_solve_evaluates_each_point_once(monkeypatch):
+    # the gradient is never taken twice at one point, and the residuals are
+    # evaluated once at x0 and once per strictly feasible trial point; this
+    # instance also rejects some feasible trial points in its line search
+    _, objective, _ = warmed_objective(seed=2, n_antennas=5, n_users=3)
+    gradient_points = []
+    feasible_points = set()
+
+    class Counting:
+        def value(self, x):
+            return objective.value(x)
+
+        def gradient(self, x):
+            gradient_points.append(x.tobytes())
+            return objective.gradient(x)
+
+        def hessian(self, x):
+            return objective.hessian(x)
+
+    class SpyConstraints(LinearConstraints):
+        def values(self, x):
+            f = super().values(x)
+            if np.max(f) < 0:
+                feasible_points.add(np.asarray(x, dtype=float).tobytes())
+            return f
+
+    residual_calls = []
+
+    def counted_residuals(*args):
+        residual_calls.append(args[2].tobytes())
+        return residuals(*args)
+
+    monkeypatch.setattr("fluidaircomp.pdip.residuals", counted_residuals)
+    cons = SpyConstraints(objective.constraints.matrix, objective.constraints.offsets)
+    x0 = interior_positions(5, objective.aperture, objective.min_spacing)
+    report = solve_pdip(Counting(), cons, x0)
+    assert len(residual_calls) > report.iterations + 1
+    assert len(gradient_points) == len(set(gradient_points))
+    assert len(residual_calls) == len(feasible_points)
+    assert set(residual_calls) == feasible_points
 
 
 def test_solve_deterministic():

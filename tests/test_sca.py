@@ -6,6 +6,7 @@ from oracles import (cross_lower_bound, cross_term, grid_search_refined,
 from util import random_objective, random_weights, warmed_objective
 
 from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights
+from fluidaircomp.pdip import SolveReport
 from fluidaircomp.sca import ScaOptions, build_surrogate, solve_sca
 
 
@@ -66,7 +67,8 @@ def test_surrogate_equals_sum_of_per_user_bounds():
                                  zero_frac=0.3 if trial % 3 == 0 else 0.0)
         anchor = rng.uniform(-1, n + 1, n)
         surrogate = build_surrogate(weights, anchor)
-        for got, ref in zip((surrogate.quad, surrogate.lin, surrogate.const),
+        # the oracle bounds are x^T quad x - lin^T x + const
+        for got, ref in zip((surrogate.quad, -surrogate.lin, surrogate.const),
                             summed_bounds(weights, anchor)):
             scale = 1.0 + np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
@@ -141,12 +143,16 @@ def test_solve_never_beats_grid_optimum():
     assert report.value <= objective.value(x0)
 
 
-def test_inner_qp_failure_is_reported():
+def test_inner_qp_failure_is_reported(monkeypatch):
     # an unsolvable inner problem must surface with the outer iteration index
     _, objective, x0 = warmed_objective(seed=13, n_antennas=3, n_users=2)
-    options = ScaOptions()
-    options.pdip.max_iters = 0  # inner solver cannot converge
-    report = solve_sca(objective, x0, options)
+
+    def not_converged(qp, constraints, start):
+        return SolveReport(x=start, value=qp.value(start), iterations=0,
+                           status="max_iters", converged=False)
+
+    monkeypatch.setattr("fluidaircomp.sca.solve_pdip", not_converged)
+    report = solve_sca(objective, x0)
     assert not report.converged
     assert report.status.startswith("inner_qp_")
     assert report.status.endswith("_at_outer_0")
