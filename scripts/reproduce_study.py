@@ -5,6 +5,7 @@ and user-count sweeps for all four methods. Writes one CSV per experiment."""
 import argparse
 import os
 import time
+from dataclasses import replace
 
 from fluidaircomp.experiments import ExperimentConfig, run_sweep, trace_config
 
@@ -38,9 +39,10 @@ def main():
                         help="tiny sizes for a smoke run")
     args = parser.parse_args()
 
+    experiments = [(name, replace(config, workers=args.workers))
+                   for name, config in build_experiments(args.trials, args.seed, args.quick)]
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, config in build_experiments(args.trials, args.seed, args.quick):
-        config.workers = args.workers
+    for name, config in experiments:
         path = os.path.join(args.out_dir, name)
         start = time.perf_counter()
         run_sweep(config, path)

@@ -97,10 +97,6 @@ class LinearConstraints:
     def n_constraints(self) -> int:
         return self.offsets.shape[0]
 
-    @property
-    def jacobian(self) -> np.ndarray:
-        return self.matrix
-
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float) + self.offsets
 

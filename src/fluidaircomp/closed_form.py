@@ -12,23 +12,13 @@ from .model import Scenario, channel_matrix
 ZERO_CHANNEL_TOL = 1e-12
 
 
-def update_b_single(m: np.ndarray, h_k: np.ndarray, p_max: float) -> complex:
-    """Power-constrained minimizer of |m^H h_k b - 1|^2 over |b|^2 <= p_max.
+def update_b(m: np.ndarray, scenario: Scenario, x: np.ndarray) -> np.ndarray:
+    """Per-user b update; the users decouple, so each solves its own scalar QCQP.
 
     The multiplier max(|c|/sqrt(P) - |c|^2, 0) with c = m^H h_k either leaves
     the unconstrained inverse 1/c untouched or scales it back onto the power
     sphere.
     """
-    c = complex(np.vdot(m, h_k))
-    mag = abs(c)
-    if mag < ZERO_CHANNEL_TOL:
-        return 0j
-    mu = max(mag / np.sqrt(p_max) - mag * mag, 0.0)
-    return np.conj(c) / (mag * mag + mu)
-
-
-def update_b(m: np.ndarray, scenario: Scenario, x: np.ndarray) -> np.ndarray:
-    """Per-user b update; the users decouple, so each solves its own scalar QCQP."""
     h = channel_matrix(scenario, x)
     c = m.conj() @ h  # m^H h_k per user
     mag = np.abs(c)

@@ -9,7 +9,7 @@ sequence is non-increasing by construction for every method.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,24 +18,10 @@ from .closed_form import update_b, update_m
 from .model import (InfeasibleStartError, Scenario, TransceiverState,
                     interior_positions, mse, uniform_positions)
 from .pdip import SingularKktError, solve_pdip
-from .pgd import PgdOptions, solve_pgd
-from .sca import ScaOptions, solve_sca
+from .pgd import solve_pgd
+from .sca import solve_sca
 
 METHODS = ("pdip", "sca", "pgd", "fpa")
-
-
-def _sca_round_options() -> ScaOptions:
-    # one surrogate minimization per AO round: the weights are refreshed by the
-    # m/b updates anyway, and the per-round trace then reflects SCA's own
-    # (slow) contraction instead of hiding it inside a converged inner loop
-    return ScaOptions(max_outer=1)
-
-
-def _pgd_round_options() -> PgdOptions:
-    # capped per-round descent; the next round resumes from the same positions,
-    # so nothing is lost and high-noise instances stop burning time on
-    # sub-tolerance steps
-    return PgdOptions(max_iters=50)
 
 
 @dataclass
@@ -46,8 +32,6 @@ class AoOptions:
     method: str = "pdip"
     max_rounds: int = 100
     tol_mse: float = 1e-6
-    sca: ScaOptions = field(default_factory=_sca_round_options)
-    pgd: PgdOptions = field(default_factory=_pgd_round_options)
 
 
 @dataclass
@@ -111,9 +95,9 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
                 if opts.method == "pdip":
                     inner = solve_pdip(objective, objective.constraints, x)
                 elif opts.method == "sca":
-                    inner = solve_sca(objective, x, opts.sca)
+                    inner = solve_sca(objective, x)
                 else:
-                    inner = solve_pgd(objective, x, opts.pgd)
+                    inner = solve_pgd(objective, x)
             except (InfeasibleStartError, SingularKktError, np.linalg.LinAlgError):
                 status = f"position_solver_failed_round_{t}"
                 rounds = t

@@ -61,15 +61,24 @@ class ExperimentConfig:
             raise ValueError(f"unknown sweep axis {self.sweep!r}")
         if self.sweep != "trace" and len(self.values) == 0:
             raise ValueError("sweep needs at least one axis value")
+        if len(set(self.values)) != len(self.values):
+            raise ValueError(f"sweep values must be distinct: {self.values}")
         if self.sweep in ("n", "k") and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"{self.sweep} sweep values must be integers: {self.values}")
+        sizes = (self.n, self.k) + (tuple(self.values) if self.sweep in ("n", "k") else ())
+        if min(sizes) < 1:
+            raise ValueError("antenna and user counts must be at least 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.timing not in ("none", "wall"):
             raise ValueError("timing must be 'none' or 'wall'")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must be a non-empty list of distinct names: {self.methods}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}")
+        if self.workers < 0:
+            raise ValueError("workers must be nonnegative (0 = one per CPU)")
 
 
 def parse_config(path: str) -> ExperimentConfig:

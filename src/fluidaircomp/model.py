@@ -91,13 +91,6 @@ def steering_vector(x: np.ndarray, theta: float) -> np.ndarray:
     return np.exp(1j * TWO_PI * np.cos(theta) * x)
 
 
-def channel(scenario: Scenario, k: int, x: np.ndarray) -> np.ndarray:
-    """LoS channel of user k (0-based): gain times steering vector."""
-    if not 0 <= k < scenario.n_users:
-        raise IndexError(f"user index {k} out of range for K={scenario.n_users}")
-    return scenario.alphas[k] * steering_vector(x, scenario.thetas[k])
-
-
 def channel_matrix(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     """(N, K) matrix whose k-th column is the channel of user k."""
     x = np.asarray(x, dtype=float)
@@ -150,19 +143,6 @@ def sample_scenario(
         aperture=float(n_antennas),
         min_spacing=0.5,
     )
-
-
-def is_feasible_positions(x: np.ndarray, aperture: float, min_spacing: float,
-                          tol: float = 1e-9) -> bool:
-    """True when x is inside [0, L], ordered, and respects the minimum spacing."""
-    x = np.asarray(x, dtype=float)
-    if x[0] < -tol or x[-1] > aperture + tol:
-        return False
-    if x.size > 1 and np.min(np.diff(x)) < min_spacing - tol:
-        return False
-    if np.any(np.diff(x) <= 0):
-        return False
-    return True
 
 
 def uniform_positions(n_antennas: int, aperture: float) -> np.ndarray:

@@ -81,7 +81,7 @@ def residuals(objective, constraints: LinearConstraints, x: np.ndarray,
     grad = objective.gradient(x)
     if not np.all(np.isfinite(grad)):
         raise ValueError("objective gradient is not finite")
-    r_dual = grad + constraints.jacobian.T @ nu
+    r_dual = grad + constraints.matrix.T @ nu
     r_cent = -nu * f - 1.0 / delta
     return r_dual, r_cent
 
@@ -96,7 +96,7 @@ def newton_step(objective, constraints: LinearConstraints, x: np.ndarray,
     rho tenfold up to 5 times before giving up.
     """
     f = constraints.values(x)
-    jac = constraints.jacobian
+    jac = constraints.matrix
     n = x.size
     hess = objective.hessian(x)
     hess_diag = np.diag(hess)

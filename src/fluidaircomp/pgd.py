@@ -7,12 +7,23 @@ projection is pool-adjacent-violators followed by clipping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .apv_objective import ApvObjective
 from .pdip import SolveReport
+
+# Armijo backtracking: the step resets to _STEP0 every iteration and shrinks
+# by _SHRINK until g falls by _ARMIJO times the linearized decrease.
+_STEP0 = 0.1
+_SHRINK = 0.5
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 30
+# Stop once an accepted step moves no position by more than _TOL_X.
+_TOL_X = 1e-6
+# Capped per call: the driver calls once per round and the next round resumes
+# from the same positions, so nothing is lost and high-noise instances stop
+# burning time on sub-tolerance steps.
+_MAX_ITERS = 50
 
 
 def pava_nondecreasing(y: np.ndarray) -> np.ndarray:
@@ -67,43 +78,30 @@ def project_feasible(v: np.ndarray, aperture: float, min_spacing: float) -> np.n
     return np.clip(pava_nondecreasing(y), 0.0, upper) + ramp
 
 
-@dataclass
-class PgdOptions:
-    """Armijo backtracking schedule; the step resets to step0 every iteration."""
-
-    step0: float = 0.1
-    shrink: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 30
-    tol_x: float = 1e-6
-    max_iters: int = 200
-
-
-def solve_pgd(objective: ApvObjective, x0: np.ndarray,
-              options: PgdOptions | None = None) -> SolveReport:
+def solve_pgd(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
     """Iterate x <- project(x - gamma * grad g(x)) with Armijo backtracking.
 
     Every iterate is feasible and g never increases; stops when the iterate
-    stalls, no backtracked step achieves sufficient decrease, or max_iters.
+    stalls, no backtracked step achieves sufficient decrease, or after
+    _MAX_ITERS iterations.
     """
-    opts = options or PgdOptions()
     x = objective.feasible_start(x0)
     g_cur = objective.value(x)
     history = [g_cur]
     status = "max_iters"
     iterations = 0
-    for _ in range(opts.max_iters):
+    for _ in range(_MAX_ITERS):
         grad = objective.gradient(x)
-        gamma = opts.step0
+        gamma = _STEP0
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_new = project_feasible(x - gamma * grad,
                                      objective.aperture, objective.min_spacing)
             g_new = objective.value(x_new)
-            if g_new <= g_cur - opts.armijo * float(grad @ (x - x_new)):
+            if g_new <= g_cur - _ARMIJO * float(grad @ (x - x_new)):
                 accepted = True
                 break
-            gamma *= opts.shrink
+            gamma *= _SHRINK
         if not accepted:
             status = "no_decrease"
             break
@@ -112,7 +110,7 @@ def solve_pgd(objective: ApvObjective, x0: np.ndarray,
         g_cur = g_new
         iterations += 1
         history.append(g_cur)
-        if step < opts.tol_x:
+        if step < _TOL_X:
             status = "converged"
             break
     return SolveReport(

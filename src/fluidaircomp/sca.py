@@ -1,16 +1,14 @@
 """Successive convex approximation for the antenna-position subproblem.
 
-Each iteration replaces the trigonometric objective by a convex quadratic
-surrogate (every cosine's curvature bounded by 1), minimizes it over the
-linear position constraints with the interior-point solver, and repeats from
-the new point. The surrogate majorizes sum_k |w_k^H a(x) - 1|^2 and touches
-it at the anchor, which makes the true objective non-increasing across
-iterations.
+One step replaces the trigonometric objective by a convex quadratic surrogate
+(every cosine's curvature bounded by 1) and minimizes it over the linear
+position constraints with the interior-point solver. The surrogate majorizes
+sum_k |w_k^H a(x) - 1|^2 and touches it at the anchor, so the step never
+increases the true objective. The alternating-optimization driver repeats
+the step once per round, after refreshing the weights.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,59 +33,28 @@ def build_surrogate(weights: EffectiveWeights, anchor: np.ndarray) -> QuadraticO
     return QuadraticObjective(quad=quad, lin=lin, const=const)
 
 
-@dataclass
-class ScaOptions:
-    tol_x: float = 1e-6
-    tol_obj: float = 1e-9
-    max_outer: int = 200
-
-
-def solve_sca(objective: ApvObjective, x0: np.ndarray,
-              options: ScaOptions | None = None) -> SolveReport:
-    """Minimize g by repeated surrogate QPs over the position constraints.
+def solve_sca(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
+    """One majorize-minimize step on g from x0.
 
     x0 must be feasible (boundary contact allowed; the inner solver is warm
-    started from a strictly interior blend). Iterations stop when the iterate
-    stalls in the max norm, the surrogate stops improving, or max_outer is hit.
-    The reported value history tracks the true objective g, which never
-    increases across iterations.
+    started from a strictly interior blend). The surrogate minimizer is
+    accepted when it does not increase g; otherwise x0 is kept, since solver
+    tolerance can leave the minimizer microscopically above the anchor value.
+    A failed inner QP returns x0 with status inner_qp_<status>.
     """
-    opts = options or ScaOptions()
-    constraints = objective.constraints
     x = objective.feasible_start(x0)
-    n_users = objective.weights.n_users
-    g_cur = objective.value(x)
-    history = [g_cur]
-    status = "max_outer"
-    iterations = 0
-    for _ in range(opts.max_outer):
-        surrogate = build_surrogate(objective.weights, x)
-        start = nudge_interior(x, objective.aperture, objective.min_spacing)
-        inner = solve_pdip(surrogate, constraints, start)
-        if not inner.converged:
-            status = f"inner_qp_{inner.status}_at_outer_{iterations}"
-            break
-        x_new = inner.x
-        g_new = objective.value(x_new)
-        iterations += 1
-        if g_new > g_cur:
-            # solver tolerance left us microscopically above the anchor value;
-            # keep the anchor so the descent property stays exact
-            status = "converged"
-            break
-        step = float(np.max(np.abs(x_new - x)))
-        surrogate_drop = (g_cur + n_users) - surrogate.value(x_new)
-        x = x_new
-        g_cur = g_new
-        history.append(g_cur)
-        if step < opts.tol_x or surrogate_drop < opts.tol_obj:
-            status = "converged"
-            break
-    return SolveReport(
-        x=x,
-        value=g_cur,
-        iterations=iterations,
-        status=status,
-        converged=status == "converged",
-        value_history=history,
-    )
+    g0 = objective.value(x)
+    surrogate = build_surrogate(objective.weights, x)
+    start = nudge_interior(x, objective.aperture, objective.min_spacing)
+    inner = solve_pdip(surrogate, objective.constraints, start)
+    if not inner.converged:
+        return SolveReport(x=x, value=g0, iterations=0,
+                           status=f"inner_qp_{inner.status}", converged=False,
+                           value_history=[g0])
+    history = [g0]
+    g1 = objective.value(inner.x)
+    if g1 <= g0:
+        x, g0 = inner.x, g1
+        history.append(g1)
+    return SolveReport(x=x, value=g0, iterations=1, status="converged",
+                       converged=True, value_history=history)

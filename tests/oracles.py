@@ -152,6 +152,39 @@ def summed_bounds(weights, anchor):
     return quad, lin, const
 
 
+def channel(scenario, k, x):
+    """LoS channel of user k (0-based): alpha_k exp(j 2 pi cos(theta_k) x_n)."""
+    if not 0 <= k < scenario.n_users:
+        raise IndexError(f"user index {k} out of range for K={scenario.n_users}")
+    x = np.asarray(x, dtype=float)
+    return scenario.alphas[k] * np.exp(2j * np.pi * np.cos(scenario.thetas[k]) * x)
+
+
+def is_feasible_positions(x, aperture, min_spacing, tol=1e-9):
+    """True when x is inside [0, L], ordered, and respects the minimum spacing."""
+    x = np.asarray(x, dtype=float)
+    if x[0] < -tol or x[-1] > aperture + tol:
+        return False
+    if x.size > 1 and np.min(np.diff(x)) < min_spacing - tol:
+        return False
+    return not np.any(np.diff(x) <= 0)
+
+
+def update_b_single(m, h_k, p_max):
+    """Power-constrained minimizer of |m^H h_k b - 1|^2 over |b|^2 <= p_max.
+
+    The multiplier max(|c|/sqrt(P) - |c|^2, 0) with c = m^H h_k either leaves
+    the unconstrained inverse 1/c untouched or scales it back onto the power
+    sphere; a vanishing c (below 1e-12) gives b = 0.
+    """
+    c = complex(np.vdot(m, h_k))
+    mag = abs(c)
+    if mag < 1e-12:
+        return 0j
+    mu = max(mag / np.sqrt(p_max) - mag * mag, 0.0)
+    return np.conj(c) / (mag * mag + mu)
+
+
 def brute_force_b(m, h_k, p_max, n_mag=400, n_phase=720):
     """Exhaustive polar-grid argmin of |m^H h_k b - 1|^2 over |b|^2 <= p_max."""
     c = complex(np.vdot(m, h_k))

@@ -12,12 +12,12 @@ import numpy as np
 
 from oracles import (cross_lower_bound, cross_term, fd_gradient,
                      grid_search_refined, power_term, power_upper_bound,
-                     qp_active_set_reference)
+                     qp_active_set_reference, update_b_single)
 from util import random_feasible_positions, random_state, random_weights
 
 from fluidaircomp.apv_objective import (ApvObjective, effective_weights,
                                         position_constraints)
-from fluidaircomp.closed_form import update_b_single, update_m
+from fluidaircomp.closed_form import update_m
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
 from fluidaircomp.experiments import ExperimentConfig, run_sweep
 from fluidaircomp.model import interior_positions, mse, sample_scenario

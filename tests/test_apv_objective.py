@@ -198,10 +198,10 @@ def test_constraints_uniform_grid_feasible():
 def test_constraints_jacobian_shape_and_linearity():
     rng = np.random.default_rng(2)
     cons = position_constraints(5, 5.0, 0.5)
-    assert cons.jacobian.shape == (6, 5)
+    assert cons.matrix.shape == (6, 5)
     x, y = rng.normal(size=5), rng.normal(size=5)
     # affine: f(x+y) - f(x) is linear in y with the constant jacobian
-    assert np.allclose(cons.values(x + y) - cons.values(x), cons.jacobian @ y)
+    assert np.allclose(cons.values(x + y) - cons.values(x), cons.matrix @ y)
 
 
 def test_constraints_single_antenna():

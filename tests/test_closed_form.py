@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_b
+from oracles import brute_force_b, update_b_single
 from util import random_feasible_positions, random_state
 
-from fluidaircomp.closed_form import update_b, update_b_single, update_m
+from fluidaircomp.closed_form import update_b, update_m
 from fluidaircomp.model import Scenario, channel_matrix, mse, sample_scenario
 
 
@@ -49,6 +49,22 @@ def test_b_single_feasibility_and_slackness(seed):
     c = abs(complex(np.vdot(m, h)))
     mu = max(c / np.sqrt(p_max) - c * c, 0.0)
     assert abs(mu * (abs(b) ** 2 - p_max)) < 1e-9
+
+
+def test_b_update_matches_per_user_oracle():
+    # the vectorized update against the scalar closed form, user by user
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        scenario = sample_scenario(int(rng.integers(1, 6)), int(rng.integers(1, 8)),
+                                   rng.uniform(-10, 10), seed=int(rng.integers(1 << 31)))
+        x = random_feasible_positions(rng, scenario.n_antennas, scenario.aperture,
+                                      scenario.min_spacing)
+        _, m = random_state(rng, scenario)
+        b = update_b(m, scenario, x)
+        h = channel_matrix(scenario, x)
+        for k in range(scenario.n_users):
+            ref = update_b_single(m, h[:, k], scenario.powers[k])
+            assert abs(b[k] - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 def test_b_update_symmetry_for_identical_users():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import is_feasible_positions
+
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
-from fluidaircomp.model import (Scenario, is_feasible_positions, mse, sample_scenario,
-                                uniform_positions)
+from fluidaircomp.model import Scenario, mse, sample_scenario, uniform_positions
 
 
 def test_fpa_positions_two_antennas():

@@ -44,6 +44,29 @@ def test_config_rejects_fractional_axis_values(sweep, values):
         ExperimentConfig(sweep=sweep, values=values)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(workers=-3), dict(methods=()), dict(methods=("fpa", "fpa")),
+    dict(values=(-10.0, -10.0)), dict(sweep="n", values=(3.0, 3.0)),
+    dict(n=0), dict(k=0), dict(sweep="n", values=(0.0, 2.0)),
+    dict(sweep="k", values=(-1.0,)),
+], ids=["workers-neg", "methods-empty", "methods-dup", "snr-dup", "n-dup",
+        "n-0", "k-0", "n-axis-0", "k-axis-neg"])
+def test_config_rejects_bad_sweeps(overrides):
+    with pytest.raises(ValueError):
+        tiny_config(**overrides)
+
+
+def test_cli_rejects_bad_override_before_writing(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep = snr\nvalues = -5\nn = 2\nk = 2\ntrials = 1\n"
+                   "methods = fpa\nmax_rounds = 5\n")
+    out = tmp_path / "result.csv"
+    code = cli_main(["run", "--config", str(cfg), "--out", str(out),
+                     "--workers", "-3"])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

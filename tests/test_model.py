@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluidaircomp.model import (Scenario, channel, channel_matrix,
-                                interior_positions, is_feasible_positions, mse,
-                                sample_scenario, steering_vector,
+from oracles import channel, is_feasible_positions
+
+from fluidaircomp.model import (Scenario, channel_matrix, interior_positions,
+                                mse, sample_scenario, steering_vector,
                                 uniform_positions)
 
 

@@ -123,8 +123,8 @@ def test_newton_step_escalates_damping_to_descent_direction():
         return np.sqrt(np.sum(r_d**2) + np.sum(r_c**2))
 
     kkt = np.block([
-        [Indefinite().hessian(x), cons.jacobian.T],
-        [-nu[:, None] * cons.jacobian, -np.diag(f)],
+        [Indefinite().hessian(x), cons.matrix.T],
+        [-nu[:, None] * cons.matrix, -np.diag(f)],
     ])
     assert abs(np.linalg.det(kkt)) < 1e-12  # singular by construction
 

@@ -7,7 +7,7 @@ from oracles import grid_search_refined, project_reference
 from util import random_feasible_positions, random_objective, warmed_objective
 
 from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights, position_constraints
-from fluidaircomp.pgd import PgdOptions, pava_nondecreasing, project_feasible, solve_pgd
+from fluidaircomp.pgd import pava_nondecreasing, project_feasible, solve_pgd
 
 
 def test_pava_sorted_input_unchanged():
@@ -89,9 +89,15 @@ def test_solve_accepts_projected_starts(n):
     # must still take them, or PGD would reject its own previous iterate
     rng = np.random.default_rng(n)
     obj = random_objective(rng, 3, n)
+    worst, worst_violation = None, -np.inf
     for _ in range(1000):
         p = project_feasible(rng.uniform(-2, n + 2, n), obj.aperture, obj.min_spacing)
-        solve_pgd(obj, p, PgdOptions(max_iters=1))
+        obj.feasible_start(p)
+        violation = float(np.max(obj.constraints.values(p)))
+        if violation > worst_violation:
+            worst, worst_violation = p, violation
+    report = solve_pgd(obj, worst)
+    assert report.value <= obj.value(worst)
 
 
 def test_solve_stationary_interior_start_returns_immediately():
@@ -109,7 +115,7 @@ def test_solve_monotone_and_feasible():
         n = int(rng.integers(2, 5))
         _, objective, x0 = warmed_objective(seed=seed, n_antennas=n,
                                             n_users=int(rng.integers(1, 5)))
-        report = solve_pgd(objective, x0, PgdOptions(max_iters=40))
+        report = solve_pgd(objective, x0)
         history = np.asarray(report.value_history)
         assert np.all(np.diff(history) <= 1e-12)
         assert np.max(objective.constraints.values(report.x)) <= 1e-9

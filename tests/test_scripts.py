@@ -1,0 +1,43 @@
+"""Smoke runs of the scripts in scripts/, the library's external callers."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from fluidaircomp.experiments import CSV_HEADER
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_compare_solvers_runs():
+    result = run_script("compare_solvers.py", "--N", "3", "--K", "3", "--rounds", "5")
+    assert result.returncode == 0, result.stderr
+    methods = [line.split()[0] for line in result.stdout.splitlines()[2:]]
+    assert methods == ["pdip", "sca", "pgd", "fpa"]
+
+
+def test_reproduce_study_quick_writes_every_csv(tmp_path):
+    result = run_script("reproduce_study.py", "--quick", "--out-dir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    for name in ("trace.csv", "snr_sweep.csv", "n_sweep.csv", "k_sweep.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(CSV_HEADER)
+        assert len(rows) > 1
+
+
+def test_reproduce_study_rejects_negative_workers(tmp_path):
+    out_dir = tmp_path / "results"
+    result = run_script("reproduce_study.py", "--quick", "--workers", "-3",
+                        "--out-dir", str(out_dir))
+    assert result.returncode != 0
+    assert "workers" in result.stderr
+    assert not out_dir.exists()
