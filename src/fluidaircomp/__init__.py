@@ -8,9 +8,8 @@ from .experiments import ExperimentConfig, parse_config, run_sweep, trace_config
 from .model import (Scenario, TransceiverState, channel_matrix,
                     interior_positions, mse, sample_scenario, steering_vector,
                     uniform_positions)
-from .pdip import (QuadraticObjective, SolveReport, newton_step, residuals,
-                   solve_pdip)
-from .pgd import pava_nondecreasing, project_feasible, solve_pgd
+from .pdip import QuadraticObjective, SolveReport, solve_pdip
+from .pgd import project_feasible, solve_pgd
 from .sca import build_surrogate, solve_sca
 
 __all__ = [
@@ -21,8 +20,7 @@ __all__ = [
     "Scenario", "TransceiverState", "channel_matrix",
     "interior_positions", "mse", "sample_scenario",
     "steering_vector", "uniform_positions",
-    "QuadraticObjective", "SolveReport", "newton_step", "residuals",
-    "solve_pdip",
-    "pava_nondecreasing", "project_feasible", "solve_pgd",
+    "QuadraticObjective", "SolveReport", "solve_pdip",
+    "project_feasible", "solve_pgd",
     "build_surrogate", "solve_sca",
 ]

@@ -26,7 +26,7 @@ c = grad g(a) - 2 Q a and d = g(a) + K - a^T Q a - c^T a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,16 +61,6 @@ class EffectiveWeights:
         phase = self.spatial_freqs[:, None] * x[..., None, :] - self.phases
         v = self.magnitudes * np.exp(1j * phase)
         return v, v.sum(axis=-1)
-
-
-def steered_value(u: np.ndarray) -> np.ndarray:
-    """g from the inner products u[..., k]."""
-    return np.sum(u.real**2 + u.imag**2 - 2.0 * u.real, axis=-1)
-
-
-def steered_gradient(weights: EffectiveWeights, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """grad g from the steered weights (v, u) of one point."""
-    return -2.0 * weights.spatial_freqs @ (v * (u.conj()[:, None] - 1.0)).imag
 
 
 def effective_weights(b: np.ndarray, m: np.ndarray, scenario: Scenario) -> EffectiveWeights:
@@ -119,15 +109,19 @@ def position_constraints(n_antennas: int, aperture: float, min_spacing: float) -
 
 @dataclass(frozen=True)
 class ApvObjective:
-    """Immutable evaluation oracle for g(x) and its derivatives.
+    """Evaluation oracle for g(x) and its derivatives, over fixed weights.
 
     Accepts arbitrary real position vectors, feasible or not; solvers need
-    values outside the feasible set while backtracking.
+    values outside the feasible set while backtracking. value, gradient and
+    hessian share one steering evaluation per point: the (v, u) of the last
+    point asked about are kept, keyed on its shape and bytes, so a solver
+    that asks for the value, gradient and Hessian at one x forms them once.
     """
 
     weights: EffectiveWeights
     aperture: float
     min_spacing: float
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def constraints(self) -> LinearConstraints:
@@ -141,20 +135,32 @@ class ApvObjective:
             raise InfeasibleStartError("x0 violates the position constraints")
         return x
 
+    def _steered(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """weights.steered(x), reused while x keeps the last point's bytes."""
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        if key not in self._last:
+            v, u = self.weights.steered(x)
+            # read-only, so no caller can alter what the next one reads
+            v.flags.writeable = u.flags.writeable = False
+            self._last.clear()
+            self._last[key] = (v, u)
+        return self._last[key]
+
     def value(self, x: np.ndarray) -> float | np.ndarray:
         """g(x); a (P, N) stack of points gives the (P,) array of values."""
-        _, u = self.weights.steered(x)
-        g = steered_value(u)
+        _, u = self._steered(x)
+        g = np.sum(u.real**2 + u.imag**2 - 2.0 * u.real, axis=-1)
         return float(g) if g.ndim == 0 else g
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Analytic gradient of g at one point."""
-        v, u = self.weights.steered(x)
-        return steered_gradient(self.weights, v, u)
+        v, u = self._steered(x)
+        return -2.0 * self.weights.spatial_freqs @ (v * (u.conj()[:, None] - 1.0)).imag
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Analytic Hessian of g at one point (symmetric N x N)."""
-        v, u = self.weights.steered(x)
+        v, u = self._steered(x)
         phi2 = self.weights.spatial_freqs ** 2
         # 2 Re(V^T Phi^2 conj(V)) as two real products, which measured
         # faster than one complex product

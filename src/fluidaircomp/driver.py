@@ -105,8 +105,9 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
                 history.append(mse_cur)
                 break
             inner_iters.append(inner.iterations)
-            # accept the new positions only if they do not increase the MSE
-            if objective.value(inner.x) <= objective.value(x):
+            # accept the new positions only if they do not increase the MSE;
+            # every solver reports g at its start and at the x it returns
+            if inner.value <= inner.value_history[0]:
                 x = inner.x
 
         mse_new = mse(b, m, scenario, x)

@@ -10,6 +10,7 @@ so the CSV does not depend on the worker count.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -79,6 +80,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative (0 = one per CPU)")
+        snrs = (self.snr_db,) + (tuple(self.values) if self.sweep == "snr" else ())
+        if not all(math.isfinite(v) for v in snrs):
+            raise ValueError(f"SNR values must be finite: {snrs}")
+        if not (math.isfinite(self.p0) and self.p0 > 0):
+            raise ValueError(f"p0 must be finite and positive, got {self.p0}")
+        if not (math.isfinite(self.alpha_min) and math.isfinite(self.alpha_max)
+                and 0 < self.alpha_min <= self.alpha_max):
+            raise ValueError("need finite gains with 0 < alpha_min <= alpha_max, "
+                             f"got {self.alpha_min}, {self.alpha_max}")
 
 
 def parse_config(path: str) -> ExperimentConfig:

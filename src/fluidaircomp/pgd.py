@@ -26,35 +26,30 @@ _TOL_X = 1e-6
 _MAX_ITERS = 50
 
 
-def pava_nondecreasing(y: np.ndarray) -> np.ndarray:
+def pava_nondecreasing(y: np.ndarray | list[float]) -> np.ndarray:
     """Unit-weight isotonic regression: the closest nondecreasing vector to y.
 
     Blocks are merged left to right with plain averages; equal adjacent means
-    stay separate blocks, which leaves the output unchanged.
+    stay separate blocks, which leaves the output unchanged. The loop runs on
+    Python floats: iterating a NumPy array yields NumPy scalars, whose
+    per-element arithmetic costs more at these lengths.
     """
-    y = np.asarray(y, dtype=float)
     # each block keeps (sum, count); means must end up nondecreasing. Only
     # strict violations are pooled, so an already-isotonic input passes
     # through bitwise unchanged.
     sums: list[float] = []
     counts: list[int] = []
-    for value in y:
-        cur_sum, cur_count = float(value), 1
+    for value in np.asarray(y, dtype=float).tolist():
+        cur_sum, cur_count = value, 1
         while sums and sums[-1] * cur_count > cur_sum * counts[-1]:
             cur_sum += sums.pop()
             cur_count += counts.pop()
         sums.append(cur_sum)
         counts.append(cur_count)
-    out = np.empty_like(y)
-    pos = 0
+    out: list[float] = []
     for block_sum, block_count in zip(sums, counts):
-        out[pos:pos + block_count] = block_sum / block_count
-        pos += block_count
-    return out
-
-
-def _isotonic_feasible(y: np.ndarray, upper: float) -> bool:
-    return bool(y[0] >= 0.0 and y[-1] <= upper and np.all(np.diff(y) >= 0.0))
+        out += [block_sum / block_count] * block_count
+    return np.array(out, dtype=float)
 
 
 def project_feasible(v: np.ndarray, aperture: float, min_spacing: float) -> np.ndarray:
@@ -72,8 +67,9 @@ def project_feasible(v: np.ndarray, aperture: float, min_spacing: float) -> np.n
     if upper < 0:
         raise ValueError("infeasible geometry: L < (N-1)*L0")
     ramp = min_spacing * np.arange(n)
-    y = v - ramp
-    if _isotonic_feasible(y, upper):
+    y = (v - ramp).tolist()
+    if (y[0] >= 0.0 and y[-1] <= upper
+            and all(b - a >= 0.0 for a, b in zip(y, y[1:]))):
         return v.copy()
     return np.clip(pava_nondecreasing(y), 0.0, upper) + ramp
 

@@ -12,23 +12,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .apv_objective import (ApvObjective, EffectiveWeights, steered_gradient,
-                            steered_value)
+from .apv_objective import ApvObjective
 from .model import nudge_interior
 from .pdip import QuadraticObjective, SolveReport, solve_pdip
 
 
-def build_surrogate(weights: EffectiveWeights, anchor: np.ndarray) -> QuadraticObjective:
+def build_surrogate(objective: ApvObjective, anchor: np.ndarray) -> QuadraticObjective:
     """Convex majorant x^T quad x + lin^T x + const of
     sum_k |w_k^H a(x) - 1|^2 = g(x) + K, tangent at the anchor (see the
-    apv_objective module notes for the closed form)."""
+    apv_objective module notes for the closed form). g and grad g at the
+    anchor come from the objective, so a caller that has just evaluated g
+    there does not steer the weights again."""
     anchor = np.asarray(anchor, dtype=float)
+    weights = objective.weights
     w = weights.magnitudes
     phi2 = weights.spatial_freqs ** 2
     quad = np.diag(phi2 * (w.sum(axis=1) + 1.0) @ w) - (phi2[:, None] * w).T @ w
-    v, u = weights.steered(anchor)
-    lin = steered_gradient(weights, v, u) - 2.0 * quad @ anchor
-    const = float(steered_value(u) + weights.n_users - anchor @ quad @ anchor
+    lin = objective.gradient(anchor) - 2.0 * quad @ anchor
+    const = float(objective.value(anchor) + weights.n_users - anchor @ quad @ anchor
                   - lin @ anchor)
     return QuadraticObjective(quad=quad, lin=lin, const=const)
 
@@ -44,7 +45,7 @@ def solve_sca(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
     """
     x = objective.feasible_start(x0)
     g0 = objective.value(x)
-    surrogate = build_surrogate(objective.weights, x)
+    surrogate = build_surrogate(objective, x)
     start = nudge_interior(x, objective.aperture, objective.min_spacing)
     inner = solve_pdip(surrogate, objective.constraints, start)
     if not inner.converged:

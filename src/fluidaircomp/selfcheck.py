@@ -105,10 +105,10 @@ def _check_objective_definition(rng):
 def _check_surrogate(rng):
     scenario = sample_scenario(4, 3, 0.0, seed=int(rng.integers(1 << 31)))
     b, m = _random_state(scenario, rng)
-    weights = effective_weights(b, m, scenario)
-    obj = ApvObjective(weights, scenario.aperture, scenario.min_spacing)
+    obj = ApvObjective(effective_weights(b, m, scenario),
+                       scenario.aperture, scenario.min_spacing)
     anchor = np.sort(rng.uniform(0, scenario.aperture, 4))
-    surrogate = build_surrogate(weights, anchor)
+    surrogate = build_surrogate(obj, anchor)
     tight = abs(surrogate.value(anchor) - (obj.value(anchor) + scenario.n_users))
     if tight > 1e-8 * (1 + abs(surrogate.value(anchor))):
         return False, "surrogate not tight at anchor"

@@ -332,3 +332,30 @@ def project_reference(v, constraints: LinearConstraints):
     """Euclidean projection via the active-set QP oracle."""
     v = np.asarray(v, dtype=float)
     return qp_active_set_reference(np.eye(v.size), -2.0 * v, constraints)
+
+
+def project_feasible_numpy(v, aperture, min_spacing):
+    """The projection as first written with NumPy element access: PAVA over
+    the ramp-shifted vector, then clipping. Kept to pin the library's
+    Python-float version to the same additions in the same order."""
+    v = np.asarray(v, dtype=float)
+    n = v.size
+    upper = aperture - (n - 1) * min_spacing
+    ramp = min_spacing * np.arange(n)
+    y = v - ramp
+    if y[0] >= 0.0 and y[-1] <= upper and np.all(np.diff(y) >= 0.0):
+        return v.copy()
+    sums, counts = [], []
+    for value in y:
+        cur_sum, cur_count = float(value), 1
+        while sums and sums[-1] * cur_count > cur_sum * counts[-1]:
+            cur_sum += sums.pop()
+            cur_count += counts.pop()
+        sums.append(cur_sum)
+        counts.append(cur_count)
+    out = np.empty_like(y)
+    pos = 0
+    for block_sum, block_count in zip(sums, counts):
+        out[pos:pos + block_count] = block_sum / block_count
+        pos += block_count
+    return np.clip(out, 0.0, upper) + ramp

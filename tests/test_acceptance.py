@@ -157,7 +157,7 @@ def test_criterion_4_sca_surrogate_soundness():
             anchor = rng.uniform(0, n, n)
             samples = rng.uniform(-0.5, n + 0.5, (1000, n))
 
-            surrogate = build_surrogate(weights, anchor)
+            surrogate = build_surrogate(obj, anchor)
             assert np.linalg.eigvalsh(surrogate.quad).min() >= -1e-9
             level = obj.value(anchor) + k_users
             assert abs(surrogate.value(anchor) - level) <= 1e-8 * (1 + abs(level))

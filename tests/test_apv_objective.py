@@ -78,6 +78,38 @@ def test_value_on_a_stack_equals_pointwise_calls():
         assert np.allclose(stacked, [obj.value(p) for p in pts], rtol=0, atol=1e-12)
 
 
+def test_shared_evaluation_is_never_stale():
+    # value, gradient and hessian share one steering evaluation per point;
+    # whatever the order of calls, each result equals a fresh evaluation
+    rng = np.random.default_rng(12)
+    obj = random_objective(rng, 4, 5)
+    x, y = rng.uniform(0, 5, 5), rng.uniform(0, 5, 5)
+    stack = rng.uniform(0, 5, (3, 5))
+
+    def fresh(method, point):
+        return getattr(ApvObjective(obj.weights, obj.aperture, obj.min_spacing),
+                       method)(point.copy())
+
+    def check(method, point):
+        got, ref = getattr(obj, method)(point), fresh(method, point)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    # x[None] has x's bytes but another shape, and value returns an array
+    for point in (x, y, x, x[None], stack, x):
+        for method in ("value", "gradient", "hessian"):
+            if point.shape == (5,) or method == "value":
+                check(method, point)
+    assert isinstance(obj.value(x), float) and obj.value(x[None]).shape == (1,)
+    check("value", stack[0])
+    check("value", stack)
+    check("gradient", x)
+    x[2] += 0.25  # mutated in place: same array object, new point
+    for method in ("hessian", "value", "gradient"):
+        check(method, x)
+    x[2] -= 0.25
+    check("value", x)
+
+
 def test_kernel_matches_cosine_sum_references():
     # zero weights, N = 1, K = 1 and infeasible positions are all in the draws
     rng = np.random.default_rng(10)

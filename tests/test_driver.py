@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from oracles import is_feasible_positions
 
+from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
-from fluidaircomp.model import Scenario, mse, sample_scenario, uniform_positions
+from fluidaircomp.model import (Scenario, interior_positions, mse, sample_scenario,
+                               uniform_positions)
+from fluidaircomp.pdip import SolveReport
 
 
 def test_fpa_positions_two_antennas():
@@ -142,3 +147,48 @@ def test_single_antenna_runs_every_method():
     # position cannot matter with one antenna: all methods coincide
     vals = list(finals.values())
     assert np.allclose(vals, vals[0], atol=1e-9)
+
+
+@pytest.mark.parametrize("method", ["pdip", "sca", "pgd"])
+def test_each_point_is_steered_once(method, monkeypatch):
+    # value, gradient, Hessian, surrogate and acceptance guard share one
+    # steering evaluation per (weights, x) pair
+    steered = EffectiveWeights.steered
+    calls, points = [], set()
+
+    def counted(self, x):
+        x = np.asarray(x, dtype=float)
+        weights = hashlib.sha1(self.magnitudes.tobytes() + self.phases.tobytes()
+                               + self.spatial_freqs.tobytes()).digest()
+        calls.append(1)
+        points.add((weights, x.shape, x.tobytes()))
+        return steered(self, x)
+
+    monkeypatch.setattr(EffectiveWeights, "steered", counted)
+    scenario = sample_scenario(4, 6, -5.0, seed=2)
+    report = ao_optimize(scenario, AoOptions(method=method, max_rounds=8))
+    assert report.rounds > 1
+    assert len(calls) == len(points)
+
+
+@pytest.mark.parametrize("accept", [True, False])
+def test_guard_reads_the_solver_report(accept, monkeypatch):
+    # the guard compares the reported g at the start and at the returned x;
+    # it evaluates nothing itself
+    def no_call(*args, **kwargs):
+        raise AssertionError("the guard evaluated the objective")
+
+    def solver(objective, constraints, x0):
+        moved = x0 + 1e-3
+        return SolveReport(x=moved, value=1.0 if accept else 3.0, iterations=1,
+                           status="converged", converged=True,
+                           value_history=[2.0, 1.0 if accept else 3.0])
+
+    for name in ("value", "gradient", "hessian"):
+        monkeypatch.setattr(ApvObjective, name, no_call)
+    monkeypatch.setattr("fluidaircomp.driver.solve_pdip", solver)
+    scenario = sample_scenario(3, 2, 0.0, seed=4)
+    report = ao_optimize(scenario, AoOptions(method="pdip", max_rounds=1))
+    x0 = interior_positions(3, scenario.aperture, scenario.min_spacing)
+    assert report.rounds == 1
+    assert np.array_equal(report.state.x, x0 + 1e-3 if accept else x0)

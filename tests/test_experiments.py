@@ -49,8 +49,17 @@ def test_config_rejects_fractional_axis_values(sweep, values):
     dict(values=(-10.0, -10.0)), dict(sweep="n", values=(3.0, 3.0)),
     dict(n=0), dict(k=0), dict(sweep="n", values=(0.0, 2.0)),
     dict(sweep="k", values=(-1.0,)),
+    dict(snr_db=float("nan")), dict(sweep="n", values=(2.0,), snr_db=float("inf")),
+    dict(values=(-5.0, float("nan"))), dict(values=(float("-inf"),)),
+    dict(p0=0.0), dict(p0=-1.0), dict(p0=float("nan")), dict(p0=float("inf")),
+    dict(alpha_min=float("nan")), dict(alpha_max=float("inf")),
+    dict(alpha_min=0.0), dict(alpha_min=-0.5), dict(alpha_min=2.0, alpha_max=1.0),
 ], ids=["workers-neg", "methods-empty", "methods-dup", "snr-dup", "n-dup",
-        "n-0", "k-0", "n-axis-0", "k-axis-neg"])
+        "n-0", "k-0", "n-axis-0", "k-axis-neg",
+        "snr-nan", "snr-inf", "snr-axis-nan", "snr-axis-neg-inf",
+        "p0-0", "p0-neg", "p0-nan", "p0-inf",
+        "alpha-min-nan", "alpha-max-inf", "alpha-min-0", "alpha-min-neg",
+        "alpha-min-above-max"])
 def test_config_rejects_bad_sweeps(overrides):
     with pytest.raises(ValueError):
         tiny_config(**overrides)
@@ -64,6 +73,17 @@ def test_cli_rejects_bad_override_before_writing(tmp_path):
     code = cli_main(["run", "--config", str(cfg), "--out", str(out),
                      "--workers", "-3"])
     assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["values = nan", "p0 = -1", "alpha_min = 0"],
+                         ids=["snr-nan", "p0-neg", "alpha-min-0"])
+def test_cli_rejects_bad_config_before_writing(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep = snr\nvalues = -5\nn = 2\nk = 2\ntrials = 1\n"
+                   f"methods = fpa\nmax_rounds = 5\n{line}\n")
+    out = tmp_path / "result.csv"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
 
 

@@ -107,7 +107,7 @@ def test_qp_reference_agrees_with_pava_projection():
 
 def test_qp_reference_agrees_with_pdip_on_surrogate_qp():
     _, objective, x0 = warmed_objective(seed=4, n_antennas=3, n_users=2)
-    surrogate = build_surrogate(objective.weights, x0)
+    surrogate = build_surrogate(objective, x0)
     cons = objective.constraints
     report = solve_pdip(surrogate, cons, interior_positions(3, objective.aperture,
                                                             objective.min_spacing))

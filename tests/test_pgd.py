@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_search_refined, project_reference
+from oracles import grid_search_refined, project_feasible_numpy, project_reference
 from util import random_feasible_positions, random_objective, warmed_objective
 
 from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights, position_constraints
@@ -76,6 +76,23 @@ def test_projection_idempotent_and_nonexpansive(seed):
     # short-circuit, so the drift cannot compound
     assert np.allclose(project_feasible(pu, length, 0.5), pu, rtol=0, atol=1e-13)
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
+
+
+def test_projection_bitwise_equals_numpy_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(20000):
+        n = int(rng.integers(1, 41))
+        spacing = 0.0 if trial % 11 == 0 else 0.5
+        length = float(rng.uniform((n - 1) * spacing, 2 * n))
+        if trial % 4 == 0:
+            v = random_feasible_positions(rng, n, length, spacing)
+        else:
+            v = rng.uniform(-2, length + 2, n)
+        if trial % 5 == 0:  # ties and repeated blocks
+            v = np.round(v)
+        out = project_feasible(v, length, spacing)
+        ref = project_feasible_numpy(v, length, spacing)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
 def test_projection_infeasible_geometry_raises():

@@ -21,7 +21,7 @@ def test_bounds_zero_weights_give_zero_coefficients():
     for build in (power_upper_bound, cross_lower_bound):
         parts = build(weights, 0, anchor)
         assert all(np.all(p == 0) for p in parts)
-    surrogate = build_surrogate(weights, anchor)
+    surrogate = build_surrogate(ApvObjective(weights, 2.0, 0.5), anchor)
     assert np.all(surrogate.quad == 0) and np.all(surrogate.lin == 0)
     assert surrogate.const == 1.0
 
@@ -67,7 +67,7 @@ def test_surrogate_equals_sum_of_per_user_bounds():
         weights = random_weights(rng, k_users, n,
                                  zero_frac=0.3 if trial % 3 == 0 else 0.0)
         anchor = rng.uniform(-1, n + 1, n)
-        surrogate = build_surrogate(weights, anchor)
+        surrogate = build_surrogate(ApvObjective(weights, float(n), 0.5), anchor)
         # the oracle bounds are x^T quad x - lin^T x + const
         for got, ref in zip((surrogate.quad, -surrogate.lin, surrogate.const),
                             summed_bounds(weights, anchor)):
@@ -82,7 +82,7 @@ def test_surrogate_dominates_residual_sum():
         k_users = int(rng.integers(1, 4))
         obj = random_objective(rng, k_users, n)
         anchor = rng.uniform(0, n, n)
-        surrogate = build_surrogate(obj.weights, anchor)
+        surrogate = build_surrogate(obj, anchor)
         true_at_anchor = obj.value(anchor) + k_users
         assert surrogate.value(anchor) == pytest.approx(
             true_at_anchor, abs=1e-8 * (1 + abs(true_at_anchor)))
@@ -97,7 +97,7 @@ def test_surrogate_curvature_is_psd():
         n = int(rng.integers(1, 7))
         weights = random_weights(rng, int(rng.integers(1, 5)), n, zero_frac=0.1)
         anchor = rng.uniform(0, n, n)
-        surrogate = build_surrogate(weights, anchor)
+        surrogate = build_surrogate(ApvObjective(weights, float(n), 0.5), anchor)
         assert np.allclose(surrogate.quad, surrogate.quad.T, atol=1e-9)
         assert np.linalg.eigvalsh(surrogate.quad).min() >= -1e-9
 
