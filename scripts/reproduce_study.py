@@ -7,7 +7,7 @@ import os
 import time
 from dataclasses import replace
 
-from fluidaircomp.experiments import ExperimentConfig, run_sweep, trace_config
+from fluidaircomp.experiments import ExperimentConfig, run_sweep
 
 
 def build_experiments(trials, seed, quick):
@@ -16,8 +16,9 @@ def build_experiments(trials, seed, quick):
     rounds = 20 if quick else 60
     common = dict(trials=trials, seed=seed, tol_mse=1e-5, max_rounds=rounds)
     return [
-        ("trace.csv", trace_config(n, k_trace, -10.0, trials=1, seed=seed,
-                                   max_rounds=100 if not quick else 20)),
+        ("trace.csv", ExperimentConfig(
+            sweep="trace", values=(), n=n, k=k_trace, snr_db=-10.0, trials=1, seed=seed,
+            max_rounds=100 if not quick else 20)),
         ("snr_sweep.csv", ExperimentConfig(
             sweep="snr", values=(-10.0, -5.0, 0.0, 5.0, 10.0), n=n, k=n, **common)),
         ("n_sweep.csv", ExperimentConfig(

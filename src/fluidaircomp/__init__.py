@@ -4,7 +4,7 @@ from .apv_objective import (ApvObjective, EffectiveWeights, LinearConstraints,
                             effective_weights, position_constraints)
 from .closed_form import update_b, update_m
 from .driver import METHODS, AoOptions, AoReport, ao_optimize
-from .experiments import ExperimentConfig, parse_config, run_sweep, trace_config
+from .experiments import ExperimentConfig, parse_config, run_sweep
 from .model import (Scenario, TransceiverState, channel_matrix,
                     interior_positions, mse, sample_scenario, steering_vector,
                     uniform_positions)
@@ -16,7 +16,7 @@ __all__ = [
     "ApvObjective", "EffectiveWeights", "LinearConstraints", "effective_weights",
     "position_constraints", "update_b", "update_m",
     "METHODS", "AoOptions", "AoReport", "ao_optimize",
-    "ExperimentConfig", "parse_config", "run_sweep", "trace_config",
+    "ExperimentConfig", "parse_config", "run_sweep",
     "Scenario", "TransceiverState", "channel_matrix",
     "interior_positions", "mse", "sample_scenario",
     "steering_vector", "uniform_positions",

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .driver import METHODS
-from .experiments import default_out_path, parse_config, run_sweep, trace_config
+from .experiments import ExperimentConfig, default_out_path, parse_config, run_sweep
 from .selfcheck import run_quick_checks
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The run and trace flags store under ExperimentConfig field names."""
     parser = argparse.ArgumentParser(
         prog="fluidaircomp",
         description="AirComp MSE minimization with a movable receive array",
@@ -22,19 +23,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="key=value config file")
     run.add_argument("--out", help="output CSV path (overrides config)")
     run.add_argument("--seed", type=int, help="base seed (overrides config)")
-    run.add_argument("--method", action="append", choices=METHODS,
+    run.add_argument("--method", dest="methods", action="append", choices=METHODS,
                      help="restrict to this method (repeatable)")
     run.add_argument("--trials", type=int, help="trial count (overrides config)")
     run.add_argument("--workers", type=int, help="process count (overrides config)")
 
     trace = sub.add_parser("trace", help="per-round MSE trace of one instance")
-    trace.add_argument("--N", type=int, default=10, help="antenna count")
-    trace.add_argument("--K", type=int, default=100, help="user count")
-    trace.add_argument("--snr-db", type=float, default=-10.0)
-    trace.add_argument("--method", action="append", choices=METHODS,
+    trace.add_argument("--N", dest="n", type=int, help="antenna count")
+    trace.add_argument("--K", dest="k", type=int, help="user count")
+    trace.add_argument("--snr-db", type=float)
+    trace.add_argument("--method", dest="methods", action="append", choices=METHODS,
                        help="method to trace (repeatable; default all)")
-    trace.add_argument("--rounds", type=int, default=100)
-    trace.add_argument("--seed", type=int, default=0)
+    trace.add_argument("--rounds", dest="max_rounds", metavar="ROUNDS", type=int)
+    trace.add_argument("--seed", type=int)
     trace.add_argument("--out", help="output CSV path")
 
     check = sub.add_parser("check", help="run the quick oracle/invariant suite")
@@ -47,33 +48,21 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "check":
+            return 0 if run_quick_checks(seed=args.seed) == 0 else 1
         if args.command == "run":
-            config = parse_config(args.config)
-            if args.out is not None:
-                config = replace(config, out=args.out)
-            if args.seed is not None:
-                config = replace(config, seed=args.seed)
-            if args.method:
-                config = replace(config, methods=tuple(args.method))
-            if args.trials is not None:
-                config = replace(config, trials=args.trials)
-            if args.workers is not None:
-                config = replace(config, workers=args.workers)
-            path = default_out_path(config)
-            run_sweep(config, path)
-            print(f"wrote {path}")
-            return 0
-        if args.command == "trace":
-            methods = tuple(args.method) if args.method else METHODS
-            config = trace_config(args.N, args.K, args.snr_db, methods=methods,
-                                  seed=args.seed, max_rounds=args.rounds,
-                                  out=args.out or "")
-            path = default_out_path(config)
-            run_sweep(config, path)
-            print(f"wrote {path}")
-            return 0
-        failures = run_quick_checks(seed=args.seed)
-        return 0 if failures == 0 else 1
+            base = parse_config(args.config)
+        else:
+            base = ExperimentConfig(sweep="trace", values=(), k=100, trials=1)
+        flags = {field.name: getattr(args, field.name) for field in fields(ExperimentConfig)
+                 if getattr(args, field.name, None) is not None}
+        if "methods" in flags:
+            flags["methods"] = tuple(flags["methods"])
+        config = replace(base, **flags)
+        path = default_out_path(config)
+        run_sweep(config, path)
+        print(f"wrote {path}")
+        return 0
     except Exception as exc:  # argparse handles usage; anything else is runtime
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,7 @@
 All methods in a given (axis value, trial) cell see the byte-identical
 scenario (seed = base seed + trial), so comparisons are paired. Cells are
 independent work items and may run in one process pool per sweep; results
-come back in cell order and each axis value's rows are sorted before writing,
+come back in cell order, each cell's rows in trial, method and round order,
 so the CSV does not depend on the worker count.
 """
 
@@ -14,21 +14,15 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from itertools import islice
 
 from .driver import METHODS, AoOptions, ao_optimize
-from .model import sample_scenario
+from .model import noise_power, sample_scenario
 
 CSV_HEADER = ("axis", "value", "trial", "method", "mse", "rounds", "seconds", "seed")
 
 SWEEP_AXES = {"snr": "snr_db", "n": "N", "k": "K", "trace": "round"}
-
-_CONFIG_KEYS = {
-    "sweep", "values", "n", "k", "snr_db", "p0", "alpha_min", "alpha_max",
-    "methods", "trials", "seed", "out", "workers", "timing", "max_rounds",
-    "tol_mse",
-}
 
 
 @dataclass
@@ -80,11 +74,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative (0 = one per CPU)")
-        snrs = (self.snr_db,) + (tuple(self.values) if self.sweep == "snr" else ())
-        if not all(math.isfinite(v) for v in snrs):
-            raise ValueError(f"SNR values must be finite: {snrs}")
-        if not (math.isfinite(self.p0) and self.p0 > 0):
-            raise ValueError(f"p0 must be finite and positive, got {self.p0}")
+        for snr_db in (self.snr_db,) + (tuple(self.values) if self.sweep == "snr" else ()):
+            noise_power(self.p0, snr_db)
         if not (math.isfinite(self.alpha_min) and math.isfinite(self.alpha_max)
                 and 0 < self.alpha_min <= self.alpha_max):
             raise ValueError("need finite gains with 0 < alpha_min <= alpha_max, "
@@ -92,8 +83,14 @@ class ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read a flat key=value config file ('#' starts a comment)."""
-    raw: dict[str, str] = {}
+    """Read a flat key=value config file ('#' starts a comment).
+
+    The keys are the fields of ExperimentConfig. A value is read as the type of
+    its field's default, a tuple field as a comma list of the type of its
+    default's items; the last occurrence of a key wins.
+    """
+    defaults = {field.name: field.default for field in fields(ExperimentConfig)}
+    kwargs: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -102,25 +99,17 @@ def parse_config(path: str) -> ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value
-    kwargs: dict = {}
-    if "sweep" in raw:
-        kwargs["sweep"] = raw["sweep"]
-    if "values" in raw:
-        kwargs["values"] = tuple(float(v) for v in raw["values"].split(",") if v.strip())
-    if "methods" in raw:
-        kwargs["methods"] = tuple(m.strip() for m in raw["methods"].split(",") if m.strip())
-    for key, cast in (("n", int), ("k", int), ("trials", int), ("seed", int),
-                      ("workers", int), ("max_rounds", int), ("snr_db", float),
-                      ("p0", float), ("alpha_min", float), ("alpha_max", float),
-                      ("tol_mse", float)):
-        if key in raw:
-            kwargs[key] = cast(raw[key])
-    for key in ("out", "timing"):
-        if key in raw:
-            kwargs[key] = raw[key]
+            default = defaults[key]
+            try:
+                if isinstance(default, tuple):
+                    kwargs[key] = tuple(type(default[0])(item.strip())
+                                        for item in value.split(",") if item.strip())
+                else:
+                    kwargs[key] = type(default)(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return ExperimentConfig(**kwargs)
 
 
@@ -194,7 +183,6 @@ def run_sweep(config: ExperimentConfig, out_path: str | None = None) -> list[tup
     path = out_path or default_out_path(config)
     values = (0.0,) if config.sweep == "trace" else config.values
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
-    method_order = {m: i for i, m in enumerate(config.methods)}
 
     directory = os.path.dirname(path)
     if directory:
@@ -208,7 +196,6 @@ def run_sweep(config: ExperimentConfig, out_path: str | None = None) -> list[tup
         for _ in values:
             block = [row for cell_rows in islice(results, config.trials)
                      for row in cell_rows]
-            block.sort(key=lambda r: (r[2], method_order[r[3]], r[1]))
             for row in block:
                 writer.writerow(_format_row(row))
             fh.flush()
@@ -229,13 +216,3 @@ def run_sweep(config: ExperimentConfig, out_path: str | None = None) -> list[tup
                     writer.writerow(_format_row(aggregate))
                     rows.append(aggregate)
     return rows
-
-
-def trace_config(n: int, k: int, snr_db: float, methods: tuple = METHODS,
-                 trials: int = 1, seed: int = 0, **overrides) -> ExperimentConfig:
-    """Convenience constructor for a per-round convergence trace."""
-    return replace(
-        ExperimentConfig(sweep="trace", values=(), n=n, k=k, snr_db=snr_db,
-                         methods=methods, trials=trials, seed=seed),
-        **overrides,
-    )

@@ -6,6 +6,7 @@ wavelength never appears as a separate parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,22 @@ def mse(b: np.ndarray, m: np.ndarray, scenario: Scenario, x: np.ndarray) -> floa
     return float(np.sum(np.abs(residual) ** 2) + scenario.sigma2 * np.sum(np.abs(m) ** 2))
 
 
+def noise_power(p0: float, snr_db: float) -> float:
+    """Receiver noise power p0 / SNR with SNR = 10^(snr_db/10).
+
+    Raises ValueError unless the result is finite and positive, which also
+    rejects a nonpositive or non-finite p0 and a non-finite snr_db.
+    """
+    try:
+        sigma2 = float(p0 / 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError("noise power p0 / 10^(snr_db/10) must be finite and positive, "
+                         f"got p0 = {p0!r}, snr_db = {snr_db!r}")
+    return sigma2
+
+
 def sample_scenario(
     n_antennas: int,
     n_users: int,
@@ -133,13 +150,12 @@ def sample_scenario(
     rng = np.random.default_rng(seed)
     thetas = np.clip(rng.uniform(0.0, np.pi, n_users), 1e-3, np.pi - 1e-3)
     alphas = rng.uniform(alpha_range[0], alpha_range[1], n_users)
-    sigma2 = p0 / 10.0 ** (snr_db / 10.0)
     return Scenario(
         n_antennas=n_antennas,
         alphas=alphas,
         thetas=thetas,
         powers=np.full(n_users, float(p0)),
-        sigma2=float(sigma2),
+        sigma2=noise_power(p0, snr_db),
         aperture=float(n_antennas),
         min_spacing=0.5,
     )
@@ -150,8 +166,11 @@ def uniform_positions(n_antennas: int, aperture: float) -> np.ndarray:
     return np.linspace(0.0, aperture, n_antennas)
 
 
-def interior_positions(n_antennas: int, aperture: float, min_spacing: float,
-                       margin_frac: float = 1e-3) -> np.ndarray:
+_MARGIN_FRAC = 1e-3  # interior grid's end margin, as a fraction of L
+_BLEND = 1e-3  # weight nudge_interior puts on the interior grid
+
+
+def interior_positions(n_antennas: int, aperture: float, min_spacing: float) -> np.ndarray:
     """Evenly spread positions strictly inside every constraint.
 
     Shrinks the uniform grid away from both segment ends by a margin small
@@ -164,12 +183,11 @@ def interior_positions(n_antennas: int, aperture: float, min_spacing: float,
         raise InfeasibleStartError("feasible set has empty interior: L <= (N-1)*L0")
     if n_antennas == 1:
         return np.array([aperture / 2.0])
-    margin = min(margin_frac * aperture, slack / 4.0)
+    margin = min(_MARGIN_FRAC * aperture, slack / 4.0)
     return np.linspace(margin, aperture - margin, n_antennas)
 
 
-def nudge_interior(x: np.ndarray, aperture: float, min_spacing: float,
-                   blend: float = 1e-3) -> np.ndarray:
+def nudge_interior(x: np.ndarray, aperture: float, min_spacing: float) -> np.ndarray:
     """Blend x toward the interior grid so every constraint is strictly slack.
 
     For feasible x the constraints are affine, so any positive blend weight
@@ -177,4 +195,4 @@ def nudge_interior(x: np.ndarray, aperture: float, min_spacing: float,
     """
     x = np.asarray(x, dtype=float)
     anchor = interior_positions(x.size, aperture, min_spacing)
-    return (1.0 - blend) * x + blend * anchor
+    return (1.0 - _BLEND) * x + _BLEND * anchor

@@ -158,14 +158,13 @@ _CHECKS = (
 )
 
 
-def run_quick_checks(seed: int = 0, verbose: bool = True) -> int:
-    """Run every quick check; returns the number of failures."""
+def run_quick_checks(seed: int = 0) -> int:
+    """Run every quick check, printing a PASS/FAIL line each; returns the failures."""
     rng = np.random.default_rng(seed)
     failures = 0
     for name, check in _CHECKS:
         ok, detail = check(rng)
         if not ok:
             failures += 1
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     return failures

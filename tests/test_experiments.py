@@ -1,13 +1,17 @@
 import csv
 import os
+import re
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import fluidaircomp.cli as cli
 from fluidaircomp.cli import cli_main
+from fluidaircomp.driver import METHODS
 from fluidaircomp.experiments import (CSV_HEADER, ExperimentConfig,
-                                      default_out_path, parse_config, run_sweep,
-                                      trace_config)
+                                      default_out_path, parse_config, run_sweep)
 
 
 def tiny_config(**overrides):
@@ -54,12 +58,16 @@ def test_config_rejects_fractional_axis_values(sweep, values):
     dict(p0=0.0), dict(p0=-1.0), dict(p0=float("nan")), dict(p0=float("inf")),
     dict(alpha_min=float("nan")), dict(alpha_max=float("inf")),
     dict(alpha_min=0.0), dict(alpha_min=-0.5), dict(alpha_min=2.0, alpha_max=1.0),
+    dict(values=(-5.0, 4000.0)), dict(values=(-4000.0,)),
+    dict(sweep="n", values=(2.0,), snr_db=4000.0), dict(p0=1e308), dict(p0=5e-324),
 ], ids=["workers-neg", "methods-empty", "methods-dup", "snr-dup", "n-dup",
         "n-0", "k-0", "n-axis-0", "k-axis-neg",
         "snr-nan", "snr-inf", "snr-axis-nan", "snr-axis-neg-inf",
         "p0-0", "p0-neg", "p0-nan", "p0-inf",
         "alpha-min-nan", "alpha-max-inf", "alpha-min-0", "alpha-min-neg",
-        "alpha-min-above-max"])
+        "alpha-min-above-max",
+        "snr-axis-overflow", "snr-axis-underflow", "snr-overflow",
+        "noise-overflow", "noise-underflow"])
 def test_config_rejects_bad_sweeps(overrides):
     with pytest.raises(ValueError):
         tiny_config(**overrides)
@@ -76,8 +84,9 @@ def test_cli_rejects_bad_override_before_writing(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["values = nan", "p0 = -1", "alpha_min = 0"],
-                         ids=["snr-nan", "p0-neg", "alpha-min-0"])
+@pytest.mark.parametrize("line", ["values = nan", "p0 = -1", "alpha_min = 0",
+                                  "values = 4000"],
+                         ids=["snr-nan", "p0-neg", "alpha-min-0", "snr-4000"])
 def test_cli_rejects_bad_config_before_writing(tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sweep = snr\nvalues = -5\nn = 2\nk = 2\ntrials = 1\n"
@@ -107,6 +116,48 @@ def test_parse_config_file(tmp_path):
     assert config.methods == ("pdip", "fpa")
     assert config.trials == 5
     assert config.seed == 9
+
+
+# One non-default value per ExperimentConfig field, as written in a config file.
+FIELD_TEXT = {
+    "sweep": ("trace", "trace"), "values": ("-3, 4.5", (-3.0, 4.5)),
+    "n": ("7", 7), "k": ("3", 3), "snr_db": ("-2.5", -2.5), "p0": ("2.5", 2.5),
+    "alpha_min": ("0.25", 0.25), "alpha_max": ("2", 2.0),
+    "methods": ("sca, fpa", ("sca", "fpa")), "trials": ("3", 3), "seed": ("11", 11),
+    "out": ("dir/x.csv", "dir/x.csv"), "workers": ("2", 2), "timing": ("wall", "wall"),
+    "max_rounds": ("9", 9), "tol_mse": ("1e-4", 1e-4),
+}
+
+
+@pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+def test_parse_config_reads_every_field(tmp_path, field):
+    text, expected = FIELD_TEXT[field.name]
+    assert expected != field.default
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{field.name} = {text}\n")
+    value = getattr(parse_config(str(cfg)), field.name)
+    assert value == expected
+    assert type(value) is type(field.default)
+    if isinstance(value, tuple):
+        assert all(type(item) is type(field.default[0]) for item in value)
+
+
+def test_parse_config_last_occurrence_wins(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\nvalues = 1, 2\nseed = 2\nvalues = 3\n")
+    config = parse_config(str(cfg))
+    assert (config.seed, config.values) == (2, (3.0,))
+
+
+@pytest.mark.parametrize("line, key", [
+    ("n = 5.5", "n"), ("snr_db = loud", "snr_db"), ("values = -5, x", "values"),
+    ("trials = ", "trials"),
+], ids=["n-fraction", "snr-word", "values-item", "trials-empty"])
+def test_parse_config_value_error_names_its_place(tmp_path, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# header\nsweep = snr\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}:3: {key}: ")):
+        parse_config(str(cfg))
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -170,8 +221,8 @@ def test_aggregate_rows_hold_means(tmp_path):
 
 def test_trace_mode_rows_are_monotone(tmp_path):
     path = tmp_path / "trace.csv"
-    config = trace_config(2, 2, -5.0, methods=("pdip", "sca"), seed=1,
-                          max_rounds=8)
+    config = ExperimentConfig(sweep="trace", values=(), n=2, k=2, snr_db=-5.0,
+                              methods=("pdip", "sca"), trials=1, seed=1, max_rounds=8)
     run_sweep(config, str(path))
     rows = read_csv(str(path))[1:]
     for method in ("pdip", "sca"):
@@ -225,6 +276,63 @@ def test_cli_trace_subcommand(tmp_path):
     rows = read_csv(str(out))
     assert rows[0] == list(CSV_HEADER)
     assert all(r[0] == "round" for r in rows[1:])
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Configs and paths that the CLI hands to run_sweep, which does not run."""
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config, path: calls.append((config, path)))
+    return calls
+
+
+def test_cli_bare_trace_config(captured):
+    assert cli_main(["trace"]) == 0
+    [(config, _)] = captured
+    assert config.sweep == "trace"
+    assert (config.n, config.k, config.snr_db) == (10, 100, -10.0)
+    assert (config.max_rounds, config.seed, config.trials) == (100, 0, 1)
+    assert config.methods == METHODS
+    assert config.out == ""
+
+
+def test_cli_trace_flags_set_fields(captured, tmp_path):
+    out = str(tmp_path / "t.csv")
+    assert cli_main(["trace", "--N", "3", "--K", "5", "--snr-db", "2.5", "--rounds", "6",
+                     "--seed", "4", "--method", "sca", "--method", "fpa",
+                     "--out", out]) == 0
+    [(config, path)] = captured
+    assert config == ExperimentConfig(sweep="trace", values=(), n=3, k=5, snr_db=2.5,
+                                      max_rounds=6, seed=4, methods=("sca", "fpa"),
+                                      trials=1, out=out)
+    assert path == out
+
+
+def test_cli_run_keeps_file_values_it_does_not_override(captured, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{name} = {text}\n" for name, (text, _) in FIELD_TEXT.items()
+                           if name != "sweep"))
+    from_file = parse_config(str(cfg))
+    assert cli_main(["run", "--config", str(cfg)]) == 0
+    assert cli_main(["run", "--config", str(cfg), "--seed", "5", "--trials", "4",
+                     "--workers", "0", "--out", "o.csv", "--method", "pgd",
+                     "--method", "pdip"]) == 0
+    [(plain, _), (overridden, path)] = captured
+    assert plain == from_file
+    assert overridden == replace(from_file, seed=5, trials=4, workers=0, out="o.csv",
+                                 methods=("pgd", "pdip"))
+    assert path == "o.csv"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["trace"], 0), (["run", "--config", "nope.cfg"], 1), (["run", "--granularity", "fine"], 2),
+], ids=["ok", "runtime-error", "usage-error"])
+def test_main_exits_with_cli_main_code(captured, monkeypatch, tmp_path, argv, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["fluidaircomp", *argv])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main()
+    assert excinfo.value.code == code
 
 
 def test_cli_missing_config_is_runtime_error(tmp_path):
