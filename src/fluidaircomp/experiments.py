@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, fields
@@ -80,20 +81,26 @@ class ExperimentConfig:
                 and 0 < self.alpha_min <= self.alpha_max):
             raise ValueError("need finite gains with 0 < alpha_min <= alpha_max, "
                              f"got {self.alpha_min}, {self.alpha_max}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
+        if not (math.isfinite(self.tol_mse) and self.tol_mse >= 0):
+            raise ValueError(f"tol_mse must be finite and nonnegative, got {self.tol_mse}")
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read a flat key=value config file ('#' starts a comment).
+    """Read a flat key=value config file.
 
     The keys are the fields of ExperimentConfig. A value is read as the type of
     its field's default, a tuple field as a comma list of the type of its
-    default's items; the last occurrence of a key wins.
+    default's items; the last occurrence of a key wins. A '#' that starts a
+    line or follows whitespace starts a comment; any other '#' belongs to the
+    value, so 'out = res#1.csv' names the file res#1.csv.
     """
     defaults = {field.name: field.default for field in fields(ExperimentConfig)}
     kwargs: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -3,6 +3,13 @@
 The feasible set (ordered positions in [0, L] with minimum spacing L0) maps to
 a bounded isotonic set under z_n = x_n - (n-1)*L0, so the exact Euclidean
 projection is pool-adjacent-violators followed by clipping.
+
+Each Armijo ladder starts at the Barzilai-Borwein step of the previous accepted
+iteration (the BB2 step s^T y / y^T y, capped at _STEP0), the spectral
+projected gradient of Birgin, Martinez & Raydan (SIAM J. Optim. 2000) with a
+monotone line search. Each trial point costs one complex exp over the K x N
+steering weights, and most ladders accept their first trial, where a ladder
+restarted at _STEP0 would take three or four.
 """
 
 from __future__ import annotations
@@ -12,13 +19,16 @@ import numpy as np
 from .apv_objective import ApvObjective
 from .pdip import SolveReport
 
-# Armijo backtracking: the step resets to _STEP0 every iteration and shrinks
+# Armijo backtracking: the ladder starts at the BB2 step, capped at _STEP0
+# (_STEP0 itself on a call's first iteration or when s^T y <= 0), and shrinks
 # by _SHRINK until g falls by _ARMIJO times the linearized decrease.
 _STEP0 = 0.1
 _SHRINK = 0.5
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
-# Stop once an accepted step moves no position by more than _TOL_X.
+# Stop once an accepted step, scaled up to the full step _STEP0, moves no
+# position by more than _TOL_X, and the full step from the new point moves
+# none by more than _TOL_X either.
 _TOL_X = 1e-6
 # Capped per call: the driver calls once per round and the next round resumes
 # from the same positions, so nothing is lost and high-noise instances stop
@@ -74,21 +84,45 @@ def project_feasible(v: np.ndarray, aperture: float, min_spacing: float) -> np.n
     return np.clip(pava_nondecreasing(y), 0.0, upper) + ramp
 
 
+def _trial_step(s: np.ndarray, y: np.ndarray) -> float:
+    """The BB2 step s^T y / y^T y capped at _STEP0, or _STEP0 if s^T y <= 0.
+
+    s and y are the changes in x and in grad g over the last accepted step.
+    """
+    sy = float(s @ y)
+    return min(_STEP0, sy / float(y @ y)) if sy > 0.0 else _STEP0
+
+
 def solve_pgd(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
     """Iterate x <- project(x - gamma * grad g(x)) with Armijo backtracking.
 
-    Every iterate is feasible and g never increases; stops when the iterate
-    stalls, no backtracked step achieves sufficient decrease, or after
-    _MAX_ITERS iterations.
+    gamma starts at _STEP0 on the first iteration and at the capped BB2 step
+    afterwards. Every iterate is feasible and g never increases; stops when
+    the iterate stalls, no backtracked step achieves sufficient decrease, or
+    after _MAX_ITERS iterations.
+
+    The stall test scales the accepted move by _STEP0 / gamma: ||x - P(x - t
+    grad)|| / t does not increase in t (Bertsekas, Nonlinear Programming,
+    Lemma 2.3.1), so a short step cannot pass while the full _STEP0 move from
+    the point it left is still large. A stall reports convergence only once
+    the full move from the point it reached is below _TOL_X as well.
     """
     x = objective.feasible_start(x0)
     g_cur = objective.value(x)
     history = [g_cur]
     status = "max_iters"
     iterations = 0
+    x_prev = grad_prev = None
+    stalled = False
     for _ in range(_MAX_ITERS):
         grad = objective.gradient(x)
-        gamma = _STEP0
+        if stalled:
+            full = project_feasible(x - _STEP0 * grad,
+                                    objective.aperture, objective.min_spacing)
+            if float(np.max(np.abs(full - x))) < _TOL_X:
+                status = "converged"
+                break
+        gamma = _STEP0 if x_prev is None else _trial_step(x - x_prev, grad - grad_prev)
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             x_new = project_feasible(x - gamma * grad,
@@ -101,14 +135,12 @@ def solve_pgd(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
         if not accepted:
             status = "no_decrease"
             break
-        step = float(np.max(np.abs(x_new - x)))
+        stalled = float(np.max(np.abs(x_new - x))) * (_STEP0 / gamma) < _TOL_X
+        x_prev, grad_prev = x, grad
         x = x_new
         g_cur = g_new
         iterations += 1
         history.append(g_cur)
-        if step < _TOL_X:
-            status = "converged"
-            break
     return SolveReport(
         x=x,
         value=g_cur,

@@ -60,6 +60,8 @@ def test_config_rejects_fractional_axis_values(sweep, values):
     dict(alpha_min=0.0), dict(alpha_min=-0.5), dict(alpha_min=2.0, alpha_max=1.0),
     dict(values=(-5.0, 4000.0)), dict(values=(-4000.0,)),
     dict(sweep="n", values=(2.0,), snr_db=4000.0), dict(p0=1e308), dict(p0=5e-324),
+    dict(max_rounds=0), dict(max_rounds=-1), dict(tol_mse=float("nan")),
+    dict(tol_mse=float("inf")), dict(tol_mse=-1e-6),
 ], ids=["workers-neg", "methods-empty", "methods-dup", "snr-dup", "n-dup",
         "n-0", "k-0", "n-axis-0", "k-axis-neg",
         "snr-nan", "snr-inf", "snr-axis-nan", "snr-axis-neg-inf",
@@ -67,7 +69,8 @@ def test_config_rejects_fractional_axis_values(sweep, values):
         "alpha-min-nan", "alpha-max-inf", "alpha-min-0", "alpha-min-neg",
         "alpha-min-above-max",
         "snr-axis-overflow", "snr-axis-underflow", "snr-overflow",
-        "noise-overflow", "noise-underflow"])
+        "noise-overflow", "noise-underflow",
+        "max-rounds-0", "max-rounds-neg", "tol-nan", "tol-inf", "tol-neg"])
 def test_config_rejects_bad_sweeps(overrides):
     with pytest.raises(ValueError):
         tiny_config(**overrides)
@@ -85,8 +88,9 @@ def test_cli_rejects_bad_override_before_writing(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["values = nan", "p0 = -1", "alpha_min = 0",
-                                  "values = 4000"],
-                         ids=["snr-nan", "p0-neg", "alpha-min-0", "snr-4000"])
+                                  "values = 4000", "max_rounds = -1"],
+                         ids=["snr-nan", "p0-neg", "alpha-min-0", "snr-4000",
+                              "max-rounds-neg"])
 def test_cli_rejects_bad_config_before_writing(tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sweep = snr\nvalues = -5\nn = 2\nk = 2\ntrials = 1\n"
@@ -140,6 +144,15 @@ def test_parse_config_reads_every_field(tmp_path, field):
     assert type(value) is type(field.default)
     if isinstance(value, tuple):
         assert all(type(item) is type(field.default[0]) for item in value)
+
+
+def test_parse_config_hash_inside_a_value_is_kept(tmp_path):
+    # only a '#' at the start of a line or after whitespace opens a comment
+    cfg = tmp_path / "hash.cfg"
+    cfg.write_text("  # indented comment\nout = res#1.csv\nk = 4 # users\n"
+                   "methods = fpa,sca\t# tab before the comment\n")
+    config = parse_config(str(cfg))
+    assert (config.out, config.k, config.methods) == ("res#1.csv", 4, ("fpa", "sca"))
 
 
 def test_parse_config_last_occurrence_wins(tmp_path):

@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 from oracles import grid_search_refined, project_feasible_numpy, project_reference
 from util import random_feasible_positions, random_objective, warmed_objective
 
+import fluidaircomp.pgd as pgd
 from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights, position_constraints
+from fluidaircomp.driver import AoOptions, ao_optimize
+from fluidaircomp.model import sample_scenario
 from fluidaircomp.pgd import pava_nondecreasing, project_feasible, solve_pgd
 
 
@@ -128,6 +131,7 @@ def test_solve_stationary_interior_start_returns_immediately():
 
 def test_solve_monotone_and_feasible():
     rng = np.random.default_rng(3)
+    converged = 0
     for seed in range(100):
         n = int(rng.integers(2, 5))
         _, objective, x0 = warmed_objective(seed=seed, n_antennas=n,
@@ -136,6 +140,98 @@ def test_solve_monotone_and_feasible():
         history = np.asarray(report.value_history)
         assert np.all(np.diff(history) <= 1e-12)
         assert np.max(objective.constraints.values(report.x)) <= 1e-9
+        if report.converged:
+            # near-stationary at the returned point: the full _STEP0
+            # projected gradient step moves no position by _TOL_X
+            converged += 1
+            full = project_feasible(report.x - pgd._STEP0 * objective.gradient(report.x),
+                                    objective.aperture, objective.min_spacing)
+            assert np.max(np.abs(full - report.x)) <= pgd._TOL_X
+    assert converged >= 50
+
+
+class _Separable:
+    """g(x) = sum_n d_n (x_n - c_n)^2 / 2 with the attributes solve_pgd reads;
+    the antennas stay far from the box and from each other."""
+
+    aperture = 10.0
+    min_spacing = 0.5
+
+    def __init__(self, curvature, centre):
+        self.curvature = np.asarray(curvature, dtype=float)
+        self.centre = np.asarray(centre, dtype=float)
+        self.points = []  # (x, gradient) per gradient call
+
+    def feasible_start(self, x0):
+        return np.asarray(x0, dtype=float)
+
+    def value(self, x):
+        return 0.5 * float(self.curvature @ (x - self.centre) ** 2)
+
+    def gradient(self, x):
+        grad = self.curvature * (x - self.centre)
+        self.points.append((x.copy(), grad))
+        return grad
+
+
+def _first_trials(monkeypatch, objective, x0, iterations):
+    """Solve; return (x, grad, v) for the first iterations, where v = x -
+    gamma * grad is the first trial point handed to the projection."""
+    trials = []
+
+    def spy(v, aperture, min_spacing):
+        trials.append((len(objective.points), np.array(v, dtype=float)))
+        return project_feasible(v, aperture, min_spacing)
+
+    monkeypatch.setattr(pgd, "project_feasible", spy)
+    objective.points.clear()
+    solve_pgd(objective, x0)
+    assert len(objective.points) >= iterations
+    return [(x, grad, next(v for seen, v in trials if seen == i + 1))
+            for i, (x, grad) in enumerate(objective.points[:iterations])]
+
+
+def test_first_trial_is_the_capped_bb2_step(monkeypatch):
+    objective = _Separable([20.0, 30.0, 40.0], [2.0, 5.0, 8.0])
+    x0 = np.array([2.5, 4.0, 8.8])
+    for _ in range(2):  # a second call keeps no step from the first
+        first = _first_trials(monkeypatch, objective, x0, 4)
+        x, grad, v = first[0]
+        assert np.array_equal(v, x - pgd._STEP0 * grad)
+        for (x_prev, grad_prev, _), (x, grad, v) in zip(first, first[1:]):
+            s, y = x - x_prev, grad - grad_prev
+            gamma = float(s @ y) / float(y @ y)
+            assert 0 < gamma < pgd._STEP0
+            assert np.array_equal(v, x - gamma * grad)
+
+
+def test_trial_step_falls_back_without_positive_curvature(monkeypatch):
+    # on a concave g, s^T y < 0 at every step, so each ladder starts at _STEP0
+    objective = _Separable([-1.0, -2.0, -3.0], [4.0, 5.0, 6.0])
+    x0 = np.array([3.9, 5.05, 6.2])
+    first = _first_trials(monkeypatch, objective, x0, 3)
+    for (x_prev, grad_prev, _), (x, grad, _) in zip(first, first[1:]):
+        assert float((x - x_prev) @ (grad - grad_prev)) < 0
+    for x, grad, v in first:
+        assert np.array_equal(v, x - pgd._STEP0 * grad)
+
+
+def test_trace_cell_takes_few_trials_per_iteration(monkeypatch):
+    # the trace cell (N=10, K=100, -10 dB, seed 0): each steered point is one
+    # trial, so restarting every ladder at _STEP0 costs about 3.4 per
+    # accepted iteration
+    steered = EffectiveWeights.steered
+    calls = []
+
+    def counted(self, x):
+        calls.append(1)
+        return steered(self, x)
+
+    monkeypatch.setattr(EffectiveWeights, "steered", counted)
+    report = ao_optimize(sample_scenario(10, 100, -10.0, seed=0), AoOptions(method="pgd"))
+    iterations = sum(report.inner_iterations)
+    assert iterations > 1000
+    assert len(calls) / iterations <= 1.5
 
 
 def test_solve_never_beats_grid_optimum():
