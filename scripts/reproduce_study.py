@@ -1,33 +1,39 @@
 #!/usr/bin/env python3
 """Run the full desk-scale study: a convergence trace plus SNR, array-size,
-and user-count sweeps for all four methods. Writes one CSV per experiment."""
+and user-count sweeps for all four methods. Writes one CSV per experiment.
+
+The experiments are the files in configs/; --seed, --workers and (except for
+the single-trial trace) --trials override theirs."""
 
 import argparse
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
-from fluidaircomp.experiments import ExperimentConfig, run_sweep
+from fluidaircomp.experiments import parse_config, run_sweep
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# configs/<name>.cfg in study order, each with its --quick sizes for a smoke run
+QUICK = {
+    "trace": dict(n=4, k=10, max_rounds=20),
+    "snr_sweep": dict(n=4, k=4, trials=2, max_rounds=20),
+    "n_sweep": dict(values=(2.0, 4.0), k=4, trials=2, max_rounds=20),
+    "k_sweep": dict(values=(2.0, 6.0), n=4, trials=2, max_rounds=20),
+}
 
 
-def build_experiments(trials, seed, quick):
-    n, k_trace = (4, 10) if quick else (10, 100)
-    trials = 2 if quick else trials
-    rounds = 20 if quick else 60
-    common = dict(trials=trials, seed=seed, tol_mse=1e-5, max_rounds=rounds)
-    return [
-        ("trace.csv", ExperimentConfig(
-            sweep="trace", values=(), n=n, k=k_trace, snr_db=-10.0, trials=1, seed=seed,
-            max_rounds=100 if not quick else 20)),
-        ("snr_sweep.csv", ExperimentConfig(
-            sweep="snr", values=(-10.0, -5.0, 0.0, 5.0, 10.0), n=n, k=n, **common)),
-        ("n_sweep.csv", ExperimentConfig(
-            sweep="n", values=(5.0, 10.0, 15.0) if not quick else (2.0, 4.0),
-            k=n, snr_db=-10.0, **common)),
-        ("k_sweep.csv", ExperimentConfig(
-            sweep="k", values=(10.0, 50.0, 100.0) if not quick else (2.0, 6.0),
-            n=n, snr_db=-10.0, **common)),
-    ]
+def build_experiments(trials, seed, workers, quick):
+    experiments = []
+    for name, sizes in QUICK.items():
+        config = replace(parse_config(str(CONFIGS / f"{name}.cfg")),
+                         seed=seed, workers=workers)
+        if config.sweep != "trace":
+            config = replace(config, trials=trials)
+        if quick:
+            config = replace(config, **sizes)
+        experiments.append((f"{name}.csv", config))
+    return experiments
 
 
 def main():
@@ -40,8 +46,7 @@ def main():
                         help="tiny sizes for a smoke run")
     args = parser.parse_args()
 
-    experiments = [(name, replace(config, workers=args.workers))
-                   for name, config in build_experiments(args.trials, args.seed, args.quick)]
+    experiments = build_experiments(args.trials, args.seed, args.workers, args.quick)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, config in experiments:
         path = os.path.join(args.out_dir, name)

@@ -17,7 +17,7 @@ from .apv_objective import ApvObjective, effective_weights
 from .closed_form import update_b, update_m
 from .model import (InfeasibleStartError, Scenario, TransceiverState,
                     interior_positions, mse, uniform_positions)
-from .pdip import SingularKktError, solve_pdip
+from .pdip import solve_pdip
 from .pgd import solve_pgd
 from .sca import solve_sca
 
@@ -42,13 +42,19 @@ class AoReport:
 
     mse_history: list
     state: TransceiverState
-    rounds: int
     status: str
-    converged: bool
     seconds: float
     method: str
     seed: int | None
     inner_iterations: list
+
+    @property
+    def rounds(self) -> int:
+        return len(self.mse_history) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
@@ -58,9 +64,9 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
     Deterministic: the initialization is b_k = sqrt(P_k) with a uniform array
     (shrunk strictly inside the constraints for the interior-point method),
     and no step draws randomness. The seed is only recorded in the report.
-    A typed position-solver failure (infeasible or empty-interior start,
-    singular KKT system, LinAlgError) keeps the last good state and is flagged
-    in the status; any other exception propagates.
+    A position solver that raises InfeasibleStartError keeps the last good
+    state, flagged in the status; any other exception propagates. For pdip, a
+    feasible set with an empty interior raises it before round 1.
     """
     opts = options or AoOptions()
     if opts.method not in METHODS:
@@ -79,7 +85,6 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
     history = [mse_cur]
     inner_iters: list[int] = []
     status = "max_rounds"
-    rounds = 0
 
     for t in range(1, opts.max_rounds + 1):
         m = update_m(b, scenario, x)
@@ -98,9 +103,8 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
                     inner = solve_sca(objective, x)
                 else:
                     inner = solve_pgd(objective, x)
-            except (InfeasibleStartError, SingularKktError, np.linalg.LinAlgError):
+            except InfeasibleStartError:
                 status = f"position_solver_failed_round_{t}"
-                rounds = t
                 mse_cur = mse(b, m, scenario, x)
                 history.append(mse_cur)
                 break
@@ -112,7 +116,6 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
 
         mse_new = mse(b, m, scenario, x)
         history.append(mse_new)
-        rounds = t
         rel_drop = (mse_cur - mse_new) / max(abs(mse_cur), 1e-300)
         mse_cur = mse_new
         if rel_drop < opts.tol_mse:
@@ -123,9 +126,7 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
     return AoReport(
         mse_history=history,
         state=state,
-        rounds=rounds,
         status=status,
-        converged=status == "converged",
         seconds=time.perf_counter() - t_start,
         method=opts.method,
         seed=seed,

@@ -10,7 +10,7 @@ of Boyd & Vandenberghe, Convex Optimization, section 11.7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +42,24 @@ class SingularKktError(RuntimeError):
 
 @dataclass
 class SolveReport:
-    """Outcome of one solver run (shared by the PDIP, SCA, and PGD drivers)."""
+    """Outcome of one solver run (shared by the PDIP, SCA, and PGD drivers).
+
+    value_history[0] is g at the start and value_history[-1] g at x."""
 
     x: np.ndarray
-    value: float
     iterations: int
     status: str
-    converged: bool
-    value_history: list = field(default_factory=list)
+    value_history: list
     dual_residual: float = float("nan")
     duality_gap: float = float("nan")
+
+    @property
+    def value(self) -> float:
+        return self.value_history[-1]
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 @dataclass
@@ -189,10 +197,8 @@ def solve_pdip(objective, constraints: LinearConstraints,
 
     return SolveReport(
         x=x,
-        value=history[-1],
         iterations=iterations,
         status=status,
-        converged=status == "converged",
         value_history=history,
         dual_residual=float(np.linalg.norm(r_dual)),
         duality_gap=eta,

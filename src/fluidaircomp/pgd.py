@@ -26,9 +26,8 @@ _STEP0 = 0.1
 _SHRINK = 0.5
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 30
-# Stop once an accepted step, scaled up to the full step _STEP0, moves no
-# position by more than _TOL_X, and the full step from the new point moves
-# none by more than _TOL_X either.
+# Stop once a trial step, scaled up to the full step _STEP0, moves x by less
+# than _TOL_X.
 _TOL_X = 1e-6
 # Capped per call: the driver calls once per round and the next round resumes
 # from the same positions, so nothing is lost and high-noise instances stop
@@ -97,55 +96,41 @@ def solve_pgd(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
     """Iterate x <- project(x - gamma * grad g(x)) with Armijo backtracking.
 
     gamma starts at _STEP0 on the first iteration and at the capped BB2 step
-    afterwards. Every iterate is feasible and g never increases; stops when
-    the iterate stalls, no backtracked step achieves sufficient decrease, or
-    after _MAX_ITERS iterations.
+    afterwards. Every iterate is feasible and g never increases; stops when x
+    is stationary, no backtracked step achieves sufficient decrease, or after
+    _MAX_ITERS iterations.
 
-    The stall test scales the accepted move by _STEP0 / gamma: ||x - P(x - t
-    grad)|| / t does not increase in t (Bertsekas, Nonlinear Programming,
-    Lemma 2.3.1), so a short step cannot pass while the full _STEP0 move from
-    the point it left is still large. A stall reports convergence only once
-    the full move from the point it reached is below _TOL_X as well.
+    x is stationary when a trial point P(x - gamma grad), before it is
+    evaluated, lies within _TOL_X * gamma / _STEP0 of x (Euclidean norm).
+    ||P(x - t grad) - x|| / t does not increase in t (Bertsekas, Nonlinear
+    Programming, Lemma 2.3.1), so the full _STEP0 step from the returned x
+    then moves it by less than _TOL_X.
     """
     x = objective.feasible_start(x0)
     g_cur = objective.value(x)
     history = [g_cur]
     status = "max_iters"
-    iterations = 0
     x_prev = grad_prev = None
-    stalled = False
     for _ in range(_MAX_ITERS):
         grad = objective.gradient(x)
-        if stalled:
-            full = project_feasible(x - _STEP0 * grad,
-                                    objective.aperture, objective.min_spacing)
-            if float(np.max(np.abs(full - x))) < _TOL_X:
-                status = "converged"
-                break
         gamma = _STEP0 if x_prev is None else _trial_step(x - x_prev, grad - grad_prev)
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
             x_new = project_feasible(x - gamma * grad,
                                      objective.aperture, objective.min_spacing)
+            if (_STEP0 / gamma) * float(np.linalg.norm(x_new - x)) < _TOL_X:
+                status = "converged"
+                break
             g_new = objective.value(x_new)
             if g_new <= g_cur - _ARMIJO * float(grad @ (x - x_new)):
-                accepted = True
                 break
             gamma *= _SHRINK
-        if not accepted:
+        else:
             status = "no_decrease"
+        if status != "max_iters":
             break
-        stalled = float(np.max(np.abs(x_new - x))) * (_STEP0 / gamma) < _TOL_X
         x_prev, grad_prev = x, grad
         x = x_new
         g_cur = g_new
-        iterations += 1
         history.append(g_cur)
-    return SolveReport(
-        x=x,
-        value=g_cur,
-        iterations=iterations,
-        status=status,
-        converged=status == "converged",
-        value_history=history,
-    )
+    return SolveReport(x=x, iterations=len(history) - 1, status=status,
+                       value_history=history)

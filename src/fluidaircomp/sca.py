@@ -41,21 +41,23 @@ def solve_sca(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
     started from a strictly interior blend). The surrogate minimizer is
     accepted when it does not increase g; otherwise x0 is kept, since solver
     tolerance can leave the minimizer microscopically above the anchor value.
-    A failed inner QP returns x0 with status inner_qp_<status>.
+    A failed inner QP returns x0 with status inner_qp_<status>. When L =
+    (N-1)*L0 the feasible set is the single point x0, returned as converged
+    after 0 iterations.
     """
     x = objective.feasible_start(x0)
     g0 = objective.value(x)
+    if objective.aperture <= (x.size - 1) * objective.min_spacing:
+        return SolveReport(x=x, iterations=0, status="converged", value_history=[g0])
     surrogate = build_surrogate(objective, x)
     start = nudge_interior(x, objective.aperture, objective.min_spacing)
     inner = solve_pdip(surrogate, objective.constraints, start)
     if not inner.converged:
-        return SolveReport(x=x, value=g0, iterations=0,
-                           status=f"inner_qp_{inner.status}", converged=False,
+        return SolveReport(x=x, iterations=0, status=f"inner_qp_{inner.status}",
                            value_history=[g0])
     history = [g0]
     g1 = objective.value(inner.x)
     if g1 <= g0:
-        x, g0 = inner.x, g1
+        x = inner.x
         history.append(g1)
-    return SolveReport(x=x, value=g0, iterations=1, status="converged",
-                       converged=True, value_history=history)
+    return SolveReport(x=x, iterations=1, status="converged", value_history=history)

@@ -1,15 +1,19 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import is_feasible_positions
 
 from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
-from fluidaircomp.model import (Scenario, interior_positions, mse, sample_scenario,
-                               uniform_positions)
+from fluidaircomp.model import (InfeasibleStartError, Scenario, interior_positions, mse,
+                               sample_scenario, uniform_positions)
 from fluidaircomp.pdip import SolveReport
+from fluidaircomp.sca import solve_sca
 
 
 def test_fpa_positions_two_antennas():
@@ -105,15 +109,54 @@ def test_proposed_beats_fpa_on_average():
     assert np.mean(gaps) > 0
 
 
-def test_degenerate_interior_flags_position_solver():
-    # L == (N-1)*L0 leaves no strictly interior point: the SCA round fails and
-    # is reported, with the last good state returned
-    scenario = Scenario(3, [1.0, 0.8], [1.0, 2.0], [1.0, 1.0], 1.0, 1.0, 0.5)
+def test_failed_position_solver_is_flagged(monkeypatch):
+    # a typed failure in round 2 is reported, with the last good state returned
+    calls = []
+
+    def fails_in_round_2(objective, x0):
+        calls.append(1)
+        if len(calls) == 2:
+            raise InfeasibleStartError("no start")
+        return solve_sca(objective, x0)
+
+    monkeypatch.setattr("fluidaircomp.driver.solve_sca", fails_in_round_2)
+    scenario = sample_scenario(3, 2, 0.0, seed=4)
     report = ao_optimize(scenario, AoOptions(method="sca", max_rounds=5))
-    assert report.status.startswith("position_solver_failed")
-    assert is_feasible_positions(report.state.x, 1.0, 0.5)
+    assert report.status == "position_solver_failed_round_2"
+    assert report.rounds == 2 and len(report.inner_iterations) == 1
+    assert is_feasible_positions(report.state.x, scenario.aperture, scenario.min_spacing)
     hist = np.asarray(report.mse_history)
     assert np.all(np.diff(hist) <= 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(1, 3),
+       snr_db=st.sampled_from([-100.0, 0.0, 100.0]), tight=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_edges_keep_every_method_running(n, k, snr_db, tight, seed):
+    # N = 1, K = 1, extreme SNR and L = (N-1)*L0: only pdip, which needs a
+    # strictly interior start, may refuse, and it does so with a typed error
+    scenario = sample_scenario(n, k, snr_db, seed)
+    if tight:
+        scenario = replace(scenario, aperture=(n - 1) * scenario.min_spacing)
+    finals = {}
+    for method in METHODS:
+        options = AoOptions(method=method, max_rounds=8)
+        if tight and method == "pdip":
+            with pytest.raises(InfeasibleStartError):
+                ao_optimize(scenario, options)
+            continue
+        report = ao_optimize(scenario, options)
+        assert not report.status.startswith("position_solver_failed"), method
+        hist = np.asarray(report.mse_history)
+        assert np.all(np.diff(hist) <= 1e-9 * hist[:-1]), method
+        assert is_feasible_positions(report.state.x, scenario.aperture,
+                                     scenario.min_spacing), method
+        finals[method] = report.state.mse
+    if tight:
+        # the feasible set is one point: moving the antennas cannot help
+        for method in ("sca", "pgd"):
+            assert finals[method] == pytest.approx(finals["fpa"], rel=1e-12, abs=0)
 
 
 def test_degenerate_interior_rejects_pdip_start():
@@ -180,8 +223,7 @@ def test_guard_reads_the_solver_report(accept, monkeypatch):
 
     def solver(objective, constraints, x0):
         moved = x0 + 1e-3
-        return SolveReport(x=moved, value=1.0 if accept else 3.0, iterations=1,
-                           status="converged", converged=True,
+        return SolveReport(x=moved, iterations=1, status="converged",
                            value_history=[2.0, 1.0 if accept else 3.0])
 
     for name in ("value", "gradient", "hessian"):

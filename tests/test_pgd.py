@@ -126,6 +126,7 @@ def test_solve_stationary_interior_start_returns_immediately():
     x0 = np.array([0.4, 1.3])
     report = solve_pgd(obj, x0)
     assert report.converged
+    assert report.iterations == 0 and report.value_history == [obj.value(x0)]
     assert np.array_equal(report.x, x0)
 
 
@@ -142,11 +143,11 @@ def test_solve_monotone_and_feasible():
         assert np.max(objective.constraints.values(report.x)) <= 1e-9
         if report.converged:
             # near-stationary at the returned point: the full _STEP0
-            # projected gradient step moves no position by _TOL_X
+            # projected gradient step moves x by at most _TOL_X
             converged += 1
             full = project_feasible(report.x - pgd._STEP0 * objective.gradient(report.x),
                                     objective.aperture, objective.min_spacing)
-            assert np.max(np.abs(full - report.x)) <= pgd._TOL_X
+            assert np.linalg.norm(full - report.x) <= pgd._TOL_X
     assert converged >= 50
 
 

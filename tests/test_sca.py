@@ -164,8 +164,8 @@ def test_inner_qp_failure_is_reported(monkeypatch):
     _, objective, x0 = warmed_objective(seed=13, n_antennas=3, n_users=2)
 
     def not_converged(qp, constraints, start):
-        return SolveReport(x=start, value=qp.value(start), iterations=0,
-                           status="max_iters", converged=False)
+        return SolveReport(x=start, iterations=0, status="max_iters",
+                           value_history=[qp.value(start)])
 
     monkeypatch.setattr("fluidaircomp.sca.solve_pdip", not_converged)
     report = solve_sca(objective, x0)
