@@ -1,4 +1,4 @@
-"""Antenna-position objective: value, analytic derivatives, and the feasible set.
+"""Antenna-position objective: value and analytic derivatives over fixed weights.
 
 With w_k = alpha_k * conj(b_k) * m, the position-dependent part of the MSE
 depends on x only through the steered weights and their sums
@@ -27,24 +27,30 @@ c = grad g(a) - 2 Q a and d = g(a) + K - a^T Q a - c^T a.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .model import TWO_PI, InfeasibleStartError, Scenario
+from .model import TWO_PI, Scenario
 
 
 @dataclass(frozen=True)
-class EffectiveWeights:
-    """Polar form of the per-user weight vectors w_k, plus spatial frequencies.
+class ApvObjective:
+    """Evaluation oracle for g(x) and its derivatives, over fixed weights w_k.
 
-    magnitudes[k, n] = |w_kn|, phases[k, n] = angle(w_kn), and
-    spatial_freqs[k] = 2*pi*cos(theta_k) in wavelength-normalized units.
+    The weights are kept in polar form: magnitudes[k, n] = |w_kn|,
+    phases[k, n] = angle(w_kn), and spatial_freqs[k] = 2*pi*cos(theta_k) in
+    wavelength-normalized units. Accepts arbitrary real position vectors,
+    feasible or not; solvers need values outside the feasible set while
+    backtracking. value, gradient and hessian share one steering evaluation
+    per point: the (v, u) of the last point asked about are kept, keyed on its
+    shape and bytes, so a solver that asks for the value, gradient and Hessian
+    at one x forms them once.
     """
 
     magnitudes: np.ndarray
     phases: np.ndarray
     spatial_freqs: np.ndarray
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_users(self) -> int:
@@ -62,85 +68,12 @@ class EffectiveWeights:
         v = self.magnitudes * np.exp(1j * phase)
         return v, v.sum(axis=-1)
 
-
-def effective_weights(b: np.ndarray, m: np.ndarray, scenario: Scenario) -> EffectiveWeights:
-    """Build w_k = alpha_k * conj(b_k) * m for every user.
-
-    Rebuild after every change of b or m; nothing here caches on mutation.
-    """
-    w = scenario.alphas[:, None] * np.conj(b)[:, None] * np.asarray(m)[None, :]
-    return EffectiveWeights(
-        magnitudes=np.abs(w),
-        phases=np.angle(w),
-        spatial_freqs=TWO_PI * np.cos(scenario.thetas),
-    )
-
-
-@dataclass(frozen=True)
-class LinearConstraints:
-    """Affine inequalities f_i(x) = matrix[i] @ x + offsets[i] <= 0."""
-
-    matrix: np.ndarray
-    offsets: np.ndarray
-
-    @property
-    def n_constraints(self) -> int:
-        return self.offsets.shape[0]
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float) + self.offsets
-
-
-def position_constraints(n_antennas: int, aperture: float, min_spacing: float) -> LinearConstraints:
-    """The N+1 feasibility constraints: -x_1 <= 0, x_N - L <= 0, and the
-    spacing rows x_{n-1} - x_n + L0 <= 0 for n = 2..N."""
-    n = n_antennas
-    mat = np.zeros((n + 1, n))
-    off = np.zeros(n + 1)
-    mat[0, 0] = -1.0
-    mat[1, n - 1] = 1.0
-    off[1] = -aperture
-    for i in range(2, n + 1):
-        mat[i, i - 2] = 1.0
-        mat[i, i - 1] = -1.0
-        off[i] = min_spacing
-    return LinearConstraints(matrix=mat, offsets=off)
-
-
-@dataclass(frozen=True)
-class ApvObjective:
-    """Evaluation oracle for g(x) and its derivatives, over fixed weights.
-
-    Accepts arbitrary real position vectors, feasible or not; solvers need
-    values outside the feasible set while backtracking. value, gradient and
-    hessian share one steering evaluation per point: the (v, u) of the last
-    point asked about are kept, keyed on its shape and bytes, so a solver
-    that asks for the value, gradient and Hessian at one x forms them once.
-    """
-
-    weights: EffectiveWeights
-    aperture: float
-    min_spacing: float
-    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def constraints(self) -> LinearConstraints:
-        return position_constraints(self.weights.n_antennas, self.aperture, self.min_spacing)
-
-    def feasible_start(self, x0: np.ndarray) -> np.ndarray:
-        """x0 as a float copy, checked against the constraints up to the
-        1e-12 * (1 + L) rounding that projected points may carry."""
-        x = np.asarray(x0, dtype=float).copy()
-        if np.max(self.constraints.values(x)) > 1e-12 * (1.0 + self.aperture):
-            raise InfeasibleStartError("x0 violates the position constraints")
-        return x
-
     def _steered(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """weights.steered(x), reused while x keeps the last point's bytes."""
+        """steered(x), reused while x keeps the last point's bytes."""
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
         if key not in self._last:
-            v, u = self.weights.steered(x)
+            v, u = self.steered(x)
             # read-only, so no caller can alter what the next one reads
             v.flags.writeable = u.flags.writeable = False
             self._last.clear()
@@ -156,12 +89,12 @@ class ApvObjective:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Analytic gradient of g at one point."""
         v, u = self._steered(x)
-        return -2.0 * self.weights.spatial_freqs @ (v * (u.conj()[:, None] - 1.0)).imag
+        return -2.0 * self.spatial_freqs @ (v * (u.conj()[:, None] - 1.0)).imag
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Analytic Hessian of g at one point (symmetric N x N)."""
         v, u = self._steered(x)
-        phi2 = self.weights.spatial_freqs ** 2
+        phi2 = self.spatial_freqs ** 2
         # 2 Re(V^T Phi^2 conj(V)) as two real products, which measured
         # faster than one complex product
         re, im = v.real, v.imag
@@ -169,3 +102,16 @@ class ApvObjective:
         diag = 2.0 * phi2 @ (np.abs(v) ** 2 - (v * (u.conj()[:, None] - 1.0)).real)
         np.fill_diagonal(hess, diag)
         return hess
+
+
+def effective_weights(b: np.ndarray, m: np.ndarray, scenario: Scenario) -> ApvObjective:
+    """g over w_k = alpha_k * conj(b_k) * m for every user.
+
+    Rebuild after every change of b or m; nothing here caches on mutation.
+    """
+    w = scenario.alphas[:, None] * np.conj(b)[:, None] * np.asarray(m)[None, :]
+    return ApvObjective(
+        magnitudes=np.abs(w),
+        phases=np.angle(w),
+        spatial_freqs=TWO_PI * np.cos(scenario.thetas),
+    )

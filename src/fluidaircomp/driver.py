@@ -8,15 +8,15 @@ sequence is non-increasing by construction for every method.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .apv_objective import ApvObjective, effective_weights
+from .apv_objective import effective_weights
 from .closed_form import update_b, update_m
-from .model import (InfeasibleStartError, Scenario, TransceiverState,
-                    interior_positions, mse, uniform_positions)
+from .model import InfeasibleStartError, Scenario, TransceiverState, mse
 from .pdip import solve_pdip
 from .pgd import solve_pgd
 from .sca import solve_sca
@@ -32,6 +32,14 @@ class AoOptions:
     method: str = "pdip"
     max_rounds: int = 100
     tol_mse: float = 1e-6
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
+        if not (math.isfinite(self.tol_mse) and self.tol_mse >= 0):
+            raise ValueError(f"tol_mse must be finite and nonnegative, got {self.tol_mse}")
 
 
 @dataclass
@@ -69,17 +77,12 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
     feasible set with an empty interior raises it before round 1.
     """
     opts = options or AoOptions()
-    if opts.method not in METHODS:
-        raise ValueError(f"unknown method {opts.method!r}; expected one of {METHODS}")
     t_start = time.perf_counter()
 
-    n = scenario.n_antennas
-    if opts.method == "pdip":
-        x = interior_positions(n, scenario.aperture, scenario.min_spacing)
-    else:
-        x = uniform_positions(n, scenario.aperture)
+    positions = scenario.positions
+    x = positions.interior() if opts.method == "pdip" else positions.uniform()
     b = np.sqrt(scenario.powers).astype(complex)
-    m = np.zeros(n, dtype=complex)
+    m = np.zeros(scenario.n_antennas, dtype=complex)
 
     mse_cur = mse(b, m, scenario, x)
     history = [mse_cur]
@@ -91,18 +94,14 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
         b = update_b(m, scenario, x)
 
         if opts.method != "fpa":
-            objective = ApvObjective(
-                weights=effective_weights(b, m, scenario),
-                aperture=scenario.aperture,
-                min_spacing=scenario.min_spacing,
-            )
+            objective = effective_weights(b, m, scenario)
             try:
                 if opts.method == "pdip":
-                    inner = solve_pdip(objective, objective.constraints, x)
+                    inner = solve_pdip(objective, positions.constraints, x)
                 elif opts.method == "sca":
-                    inner = solve_sca(objective, x)
+                    inner = solve_sca(objective, positions, x)
                 else:
-                    inner = solve_pgd(objective, x)
+                    inner = solve_pgd(objective, positions, x)
             except InfeasibleStartError:
                 status = f"position_solver_failed_round_{t}"
                 mse_cur = mse(b, m, scenario, x)

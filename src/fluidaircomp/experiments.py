@@ -70,9 +70,6 @@ class ExperimentConfig:
             raise ValueError("timing must be 'none' or 'wall'")
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must be a non-empty list of distinct names: {self.methods}")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative (0 = one per CPU)")
         for snr_db in (self.snr_db,) + (tuple(self.values) if self.sweep == "snr" else ()):
@@ -81,10 +78,8 @@ class ExperimentConfig:
                 and 0 < self.alpha_min <= self.alpha_max):
             raise ValueError("need finite gains with 0 < alpha_min <= alpha_max, "
                              f"got {self.alpha_min}, {self.alpha_max}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
-        if not (math.isfinite(self.tol_mse) and self.tol_mse >= 0):
-            raise ValueError(f"tol_mse must be finite and nonnegative, got {self.tol_mse}")
+        for method in self.methods:
+            AoOptions(method, self.max_rounds, self.tol_mse)
 
 
 def parse_config(path: str) -> ExperimentConfig:

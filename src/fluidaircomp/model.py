@@ -7,7 +7,8 @@ wavelength never appears as a separate parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,7 @@ class Scenario:
         sigma2: receiver noise power, > 0.
         aperture: length L of the segment the antennas live on.
         min_spacing: minimum distance L0 between adjacent antennas.
+        positions: the PositionSet of (N, L, L0), built and checked on construction.
     """
 
     n_antennas: int
@@ -40,19 +42,18 @@ class Scenario:
     sigma2: float
     aperture: float
     min_spacing: float
+    positions: PositionSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
         object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=float))
         object.__setattr__(self, "powers", np.asarray(self.powers, dtype=float))
-        if self.n_antennas < 1:
-            raise ValueError("need at least one antenna")
         k = self.alphas.shape[0]
         if self.thetas.shape != (k,) or self.powers.shape != (k,):
             raise ValueError("alphas, thetas, powers must share one length K")
         if k < 1:
             raise ValueError("need at least one user")
-        numbers = (self.alphas, self.powers, self.sigma2, self.aperture, self.min_spacing)
+        numbers = (self.alphas, self.powers, self.sigma2)
         if not all(np.all(np.isfinite(value)) for value in numbers):
             raise ValueError("scenario parameters must be finite")
         if not np.all(self.alphas > 0):
@@ -63,10 +64,8 @@ class Scenario:
             raise ValueError("power budgets must be positive")
         if self.sigma2 <= 0:
             raise ValueError("noise power must be positive")
-        if self.min_spacing < 0:
-            raise ValueError("min_spacing must be nonnegative")
-        if self.aperture < (self.n_antennas - 1) * self.min_spacing:
-            raise ValueError("aperture too short for the spacing constraints")
+        object.__setattr__(self, "positions",
+                           PositionSet(self.n_antennas, self.aperture, self.min_spacing))
 
     @property
     def n_users(self) -> int:
@@ -161,38 +160,108 @@ def sample_scenario(
     )
 
 
-def uniform_positions(n_antennas: int, aperture: float) -> np.ndarray:
-    """Evenly spread positions spanning [0, L]; [0] for a single antenna."""
-    return np.linspace(0.0, aperture, n_antennas)
-
-
 _MARGIN_FRAC = 1e-3  # interior grid's end margin, as a fraction of L
-_BLEND = 1e-3  # weight nudge_interior puts on the interior grid
+_BLEND = 1e-3  # weight nudge puts on the interior grid
 
 
-def interior_positions(n_antennas: int, aperture: float, min_spacing: float) -> np.ndarray:
-    """Evenly spread positions strictly inside every constraint.
+@dataclass(frozen=True)
+class LinearConstraints:
+    """Affine inequalities f_i(x) = matrix[i] @ x + offsets[i] <= 0."""
 
-    Shrinks the uniform grid away from both segment ends by a margin small
-    enough that the spacing constraints stay strictly slack too; a single
-    antenna sits at L/2. Raises when the feasible set has an empty interior
-    (L <= (N-1)*L0, including L = 0 for N = 1).
+    matrix: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def n_constraints(self) -> int:
+        return self.offsets.shape[0]
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ np.asarray(x, dtype=float) + self.offsets
+
+
+@dataclass(frozen=True)
+class PositionSet:
+    """The feasible antenna positions: 0 <= x_1, x_N <= L and x_n - x_{n-1} >= L0.
+
+    The one place that decides feasibility. Lengths computed from decimal
+    inputs carry rounding, so every test here allows tolerance = 1e-12 (1 + L):
+    a geometry is tight (one feasible point) when the free length
+    L - (N-1) L0 is within it of 0, and a point is feasible when no
+    constraint exceeds it.
     """
-    slack = aperture - (n_antennas - 1) * min_spacing
-    if slack <= 0:
-        raise InfeasibleStartError("feasible set has empty interior: L <= (N-1)*L0")
-    if n_antennas == 1:
-        return np.array([aperture / 2.0])
-    margin = min(_MARGIN_FRAC * aperture, slack / 4.0)
-    return np.linspace(margin, aperture - margin, n_antennas)
 
+    n_antennas: int
+    aperture: float
+    min_spacing: float
 
-def nudge_interior(x: np.ndarray, aperture: float, min_spacing: float) -> np.ndarray:
-    """Blend x toward the interior grid so every constraint is strictly slack.
+    def __post_init__(self):
+        if self.n_antennas < 1:
+            raise ValueError("need at least one antenna")
+        if not (math.isfinite(self.aperture) and math.isfinite(self.min_spacing)):
+            raise ValueError("aperture and min_spacing must be finite")
+        if self.min_spacing < 0:
+            raise ValueError("min_spacing must be nonnegative")
+        if self.slack < 0:
+            raise ValueError("aperture too short for the spacing constraints")
 
-    For feasible x the constraints are affine, so any positive blend weight
-    toward a strictly interior point yields a strictly interior point.
-    """
-    x = np.asarray(x, dtype=float)
-    anchor = interior_positions(x.size, aperture, min_spacing)
-    return (1.0 - _BLEND) * x + _BLEND * anchor
+    @property
+    def tolerance(self) -> float:
+        return 1e-12 * (1.0 + self.aperture)
+
+    @property
+    def slack(self) -> float:
+        """The free length L - (N-1) L0, snapped to 0 within the tolerance."""
+        slack = self.aperture - (self.n_antennas - 1) * self.min_spacing
+        return 0.0 if abs(slack) <= self.tolerance else slack
+
+    @cached_property
+    def constraints(self) -> LinearConstraints:
+        """The N+1 rows: -x_1 <= 0, x_N - L <= 0, and the spacing rows
+        x_{n-1} - x_n + L0 <= 0 for n = 2..N."""
+        n = self.n_antennas
+        mat = np.zeros((n + 1, n))
+        off = np.zeros(n + 1)
+        mat[0, 0] = -1.0
+        mat[1, n - 1] = 1.0
+        off[1] = -self.aperture
+        for i in range(2, n + 1):
+            mat[i, i - 2] = 1.0
+            mat[i, i - 1] = -1.0
+            off[i] = self.min_spacing
+        return LinearConstraints(matrix=mat, offsets=off)
+
+    def check(self, x0: np.ndarray) -> np.ndarray:
+        """x0 as a float copy; raises InfeasibleStartError unless it is
+        feasible up to the tolerance, which projected points may need."""
+        x = np.asarray(x0, dtype=float).copy()
+        if np.max(self.constraints.values(x)) > self.tolerance:
+            raise InfeasibleStartError("x0 violates the position constraints")
+        return x
+
+    def uniform(self) -> np.ndarray:
+        """Evenly spread positions spanning [0, L]; [0] for a single antenna."""
+        return np.linspace(0.0, self.aperture, self.n_antennas)
+
+    def interior(self) -> np.ndarray:
+        """Evenly spread positions strictly inside every constraint.
+
+        Shrinks the uniform grid away from both segment ends by a margin small
+        enough that the spacing constraints stay strictly slack too; a single
+        antenna sits at L/2. Raises InfeasibleStartError on tight geometry,
+        whose feasible set has an empty interior (including L = 0 for N = 1).
+        """
+        if self.slack == 0:
+            raise InfeasibleStartError("feasible set has empty interior: L = (N-1)*L0")
+        if self.n_antennas == 1:
+            return np.array([self.aperture / 2.0])
+        margin = min(_MARGIN_FRAC * self.aperture, self.slack / 4.0)
+        return np.linspace(margin, self.aperture - margin, self.n_antennas)
+
+    def nudge(self, x: np.ndarray) -> np.ndarray:
+        """Blend x toward the interior grid so every constraint is strictly slack.
+
+        For feasible x the constraints are affine, so any positive blend weight
+        toward a strictly interior point yields a strictly interior point.
+        """
+        x = np.asarray(x, dtype=float)
+        return (1.0 - _BLEND) * x + _BLEND * self.interior()

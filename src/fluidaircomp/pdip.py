@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apv_objective import LinearConstraints
-from .model import InfeasibleStartError
+from .model import InfeasibleStartError, LinearConstraints
 
 # Barrier scaling xi > 1: delta = xi * m / eta.
 _XI = 10.0
@@ -172,7 +171,6 @@ def solve_pdip(objective, constraints: LinearConstraints,
         if np.any(shrinking):
             gamma = min(1.0, 0.99 * np.min(-nu[shrinking] / dnu[shrinking]))
         base_norm = float(np.sqrt(np.sum(r_dual**2) + np.sum(r_cent**2)))
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + gamma * dx
             f_try = constraints.values(x_try)
@@ -183,10 +181,9 @@ def solve_pdip(objective, constraints: LinearConstraints,
                 trial_norm = float(np.sqrt(np.sum(r_dual_try**2)
                                            + np.sum(r_cent_try**2)))
                 if trial_norm <= (1.0 - _A_LS * gamma) * base_norm:
-                    accepted = True
                     break
             gamma *= _B_LS
-        if not accepted:
+        else:
             status = "line_search_stall"
             break
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .apv_objective import ApvObjective
+from .model import PositionSet
 from .pdip import SolveReport
 
 # Armijo backtracking: the ladder starts at the BB2 step, capped at _STEP0
@@ -61,21 +62,18 @@ def pava_nondecreasing(y: np.ndarray | list[float]) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def project_feasible(v: np.ndarray, aperture: float, min_spacing: float) -> np.ndarray:
-    """Exact Euclidean projection of v onto the position constraints.
+def project_feasible(v: np.ndarray, positions: PositionSet) -> np.ndarray:
+    """Exact Euclidean projection of v onto the position set.
 
     Subtracting the spacing ramp reduces the chain constraints to monotonicity;
     bounded isotonic regression is then unbounded isotonic regression clipped
-    into the box, which stays monotone so no re-pooling is needed. Feasible
-    inputs are returned unchanged, so re-projection is the identity up to the
-    last ulp of the ramp round trip.
+    into the box [0, slack], which stays monotone so no re-pooling is needed.
+    Feasible inputs are returned unchanged, so re-projection is the identity
+    up to the last ulp of the ramp round trip.
     """
     v = np.asarray(v, dtype=float)
-    n = v.size
-    upper = aperture - (n - 1) * min_spacing
-    if upper < 0:
-        raise ValueError("infeasible geometry: L < (N-1)*L0")
-    ramp = min_spacing * np.arange(n)
+    upper = positions.slack
+    ramp = positions.min_spacing * np.arange(v.size)
     y = (v - ramp).tolist()
     if (y[0] >= 0.0 and y[-1] <= upper
             and all(b - a >= 0.0 for a, b in zip(y, y[1:]))):
@@ -92,7 +90,8 @@ def _trial_step(s: np.ndarray, y: np.ndarray) -> float:
     return min(_STEP0, sy / float(y @ y)) if sy > 0.0 else _STEP0
 
 
-def solve_pgd(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
+def solve_pgd(objective: ApvObjective, positions: PositionSet,
+              x0: np.ndarray) -> SolveReport:
     """Iterate x <- project(x - gamma * grad g(x)) with Armijo backtracking.
 
     gamma starts at _STEP0 on the first iteration and at the capped BB2 step
@@ -106,7 +105,7 @@ def solve_pgd(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
     Programming, Lemma 2.3.1), so the full _STEP0 step from the returned x
     then moves it by less than _TOL_X.
     """
-    x = objective.feasible_start(x0)
+    x = positions.check(x0)
     g_cur = objective.value(x)
     history = [g_cur]
     status = "max_iters"
@@ -115,8 +114,7 @@ def solve_pgd(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
         grad = objective.gradient(x)
         gamma = _STEP0 if x_prev is None else _trial_step(x - x_prev, grad - grad_prev)
         for _ in range(_MAX_BACKTRACKS):
-            x_new = project_feasible(x - gamma * grad,
-                                     objective.aperture, objective.min_spacing)
+            x_new = project_feasible(x - gamma * grad, positions)
             if (_STEP0 / gamma) * float(np.linalg.norm(x_new - x)) < _TOL_X:
                 status = "converged"
                 break

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .apv_objective import ApvObjective
-from .model import nudge_interior
+from .model import PositionSet
 from .pdip import QuadraticObjective, SolveReport, solve_pdip
 
 
@@ -24,34 +24,33 @@ def build_surrogate(objective: ApvObjective, anchor: np.ndarray) -> QuadraticObj
     anchor come from the objective, so a caller that has just evaluated g
     there does not steer the weights again."""
     anchor = np.asarray(anchor, dtype=float)
-    weights = objective.weights
-    w = weights.magnitudes
-    phi2 = weights.spatial_freqs ** 2
+    w = objective.magnitudes
+    phi2 = objective.spatial_freqs ** 2
     quad = np.diag(phi2 * (w.sum(axis=1) + 1.0) @ w) - (phi2[:, None] * w).T @ w
     lin = objective.gradient(anchor) - 2.0 * quad @ anchor
-    const = float(objective.value(anchor) + weights.n_users - anchor @ quad @ anchor
+    const = float(objective.value(anchor) + objective.n_users - anchor @ quad @ anchor
                   - lin @ anchor)
     return QuadraticObjective(quad=quad, lin=lin, const=const)
 
 
-def solve_sca(objective: ApvObjective, x0: np.ndarray) -> SolveReport:
+def solve_sca(objective: ApvObjective, positions: PositionSet,
+              x0: np.ndarray) -> SolveReport:
     """One majorize-minimize step on g from x0.
 
     x0 must be feasible (boundary contact allowed; the inner solver is warm
     started from a strictly interior blend). The surrogate minimizer is
     accepted when it does not increase g; otherwise x0 is kept, since solver
     tolerance can leave the minimizer microscopically above the anchor value.
-    A failed inner QP returns x0 with status inner_qp_<status>. When L =
-    (N-1)*L0 the feasible set is the single point x0, returned as converged
+    A failed inner QP returns x0 with status inner_qp_<status>. On tight
+    geometry the feasible set is the single point x0, returned as converged
     after 0 iterations.
     """
-    x = objective.feasible_start(x0)
+    x = positions.check(x0)
     g0 = objective.value(x)
-    if objective.aperture <= (x.size - 1) * objective.min_spacing:
+    if positions.slack == 0:
         return SolveReport(x=x, iterations=0, status="converged", value_history=[g0])
     surrogate = build_surrogate(objective, x)
-    start = nudge_interior(x, objective.aperture, objective.min_spacing)
-    inner = solve_pdip(surrogate, objective.constraints, start)
+    inner = solve_pdip(surrogate, positions.constraints, positions.nudge(x))
     if not inner.converged:
         return SolveReport(x=x, iterations=0, status=f"inner_qp_{inner.status}",
                            value_history=[g0])

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .apv_objective import ApvObjective, effective_weights
+from .apv_objective import effective_weights
 from .closed_form import update_b, update_m
 from .driver import METHODS, AoOptions, ao_optimize
-from .model import mse, sample_scenario, steering_vector
+from .model import (InfeasibleStartError, PositionSet, mse, sample_scenario,
+                    steering_vector)
 from .pgd import project_feasible
 from .sca import build_surrogate
 
@@ -79,8 +80,7 @@ def _check_objective_derivatives(rng):
     scenario = sample_scenario(5, 3, 0.0, seed=int(rng.integers(1 << 31)))
     x = np.linspace(0, scenario.aperture, 5)
     b, m = _random_state(scenario, rng)
-    obj = ApvObjective(effective_weights(b, m, scenario),
-                       scenario.aperture, scenario.min_spacing)
+    obj = effective_weights(b, m, scenario)
     point = np.sort(rng.uniform(0, scenario.aperture, 5))
     grad = obj.gradient(point)
     approx = _fd_gradient(obj.value, point)
@@ -92,8 +92,7 @@ def _check_objective_definition(rng):
     scenario = sample_scenario(4, 3, 0.0, seed=int(rng.integers(1 << 31)))
     x = np.sort(rng.uniform(0, scenario.aperture, 4))
     b, m = _random_state(scenario, rng)
-    obj = ApvObjective(effective_weights(b, m, scenario),
-                       scenario.aperture, scenario.min_spacing)
+    obj = effective_weights(b, m, scenario)
     direct = 0.0
     for k in range(scenario.n_users):
         w = scenario.alphas[k] * np.conj(b[k]) * m
@@ -105,8 +104,7 @@ def _check_objective_definition(rng):
 def _check_surrogate(rng):
     scenario = sample_scenario(4, 3, 0.0, seed=int(rng.integers(1 << 31)))
     b, m = _random_state(scenario, rng)
-    obj = ApvObjective(effective_weights(b, m, scenario),
-                       scenario.aperture, scenario.min_spacing)
+    obj = effective_weights(b, m, scenario)
     anchor = np.sort(rng.uniform(0, scenario.aperture, 4))
     surrogate = build_surrogate(obj, anchor)
     tight = abs(surrogate.value(anchor) - (obj.value(anchor) + scenario.n_users))
@@ -121,16 +119,17 @@ def _check_surrogate(rng):
 
 def _check_projection(rng):
     aperture, spacing = 5.0, 0.5
+    positions = PositionSet(6, aperture, spacing)
     for _ in range(50):
         v = rng.uniform(-2, aperture + 2, 6)
-        p = project_feasible(v, aperture, spacing)
-        again = project_feasible(p, aperture, spacing)
+        p = project_feasible(v, positions)
+        again = project_feasible(p, positions)
         if np.max(np.abs(again - p)) > 1e-13:  # identity up to ramp ulps
             return False, "projection not idempotent"
-        if p[0] < -1e-12 or p[-1] > aperture + 1e-12:
-            return False, "projection left the box"
-        if np.min(np.diff(p)) < spacing - 1e-12:
-            return False, "projection violated spacing"
+        try:
+            positions.check(p)
+        except InfeasibleStartError:
+            return False, "projection left the feasible set"
     return True, "idempotent and feasible"
 
 

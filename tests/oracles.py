@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from fluidaircomp.apv_objective import LinearConstraints
+from fluidaircomp.model import LinearConstraints
 
 
 def fd_gradient(fun, x, h=1e-6):
@@ -204,7 +204,7 @@ def grid_search_apv(objective, aperture, min_spacing, resolution, chunk=262144):
 
     Returns (x_best, g_best) at the given grid resolution.
     """
-    n = objective.weights.n_antennas
+    n = objective.n_antennas
     if n > 3:
         raise ValueError("grid search only supports N <= 3")
     axis = feasible_grid_axis(aperture, resolution)

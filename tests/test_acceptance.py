@@ -15,12 +15,11 @@ from oracles import (cross_lower_bound, cross_term, fd_gradient,
                      qp_active_set_reference, update_b_single)
 from util import random_feasible_positions, random_state, random_weights
 
-from fluidaircomp.apv_objective import (ApvObjective, effective_weights,
-                                        position_constraints)
+from fluidaircomp.apv_objective import effective_weights
 from fluidaircomp.closed_form import update_m
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
 from fluidaircomp.experiments import ExperimentConfig, run_sweep
-from fluidaircomp.model import interior_positions, mse, sample_scenario
+from fluidaircomp.model import PositionSet, mse, sample_scenario
 from fluidaircomp.pdip import QuadraticObjective, solve_pdip
 from fluidaircomp.pgd import project_feasible
 from fluidaircomp.sca import build_surrogate
@@ -112,9 +111,8 @@ def test_criterion_3_apv_objective_and_derivatives():
         for _ in range(200):
             k_users = int(rng.integers(1, 6))
             n = int(rng.integers(1, 7))
-            weights = random_weights(rng, k_users, n,
-                                     zero_frac=0.1 if rng.random() < 0.3 else 0.0)
-            obj = ApvObjective(weights, float(n), 0.5)
+            obj = weights = random_weights(rng, k_users, n,
+                                           zero_frac=0.1 if rng.random() < 0.3 else 0.0)
             x = rng.uniform(-0.5, n + 0.5, n)
 
             direct = 0.0
@@ -152,8 +150,7 @@ def test_criterion_4_sca_surrogate_soundness():
         for _ in range(50):
             k_users = int(rng.integers(1, 6))
             n = int(rng.integers(1, 7))
-            weights = random_weights(rng, k_users, n)
-            obj = ApvObjective(weights, float(n), 0.5)
+            obj = weights = random_weights(rng, k_users, n)
             anchor = rng.uniform(0, n, n)
             samples = rng.uniform(-0.5, n + 0.5, (1000, n))
 
@@ -186,13 +183,14 @@ def test_criterion_5_pdip_on_convex_instances():
         for _ in range(100):
             n = int(rng.integers(1, 5))
             length = float(rng.uniform(max(1.0, 0.5 * (n - 1) + 0.2), 3 * n))
-            cons = position_constraints(n, length, 0.5)
+            positions = PositionSet(n, length, 0.5)
+            cons = positions.constraints
             root = rng.normal(size=(n, n))
             quad = root @ root.T + 0.1 * np.eye(n)
             lin = rng.normal(size=n) * 2.0
             qp = QuadraticObjective(quad, lin)
 
-            report = solve_pdip(qp, cons, interior_positions(n, length, 0.5))
+            report = solve_pdip(qp, cons, positions.interior())
             ref = qp_active_set_reference(quad, lin, cons)
             assert report.converged
             assert report.dual_residual <= 1e-8
@@ -209,11 +207,11 @@ def test_criterion_6_projection_exactness():
             n = int(rng.integers(1, 6))
             length = float(rng.uniform(0.5 * (n - 1) + 0.1, 3 * n))
             v = rng.uniform(-length, 2 * length, n)
-            proj = project_feasible(v, length, 0.5)
-            ref = qp_active_set_reference(np.eye(n), -2.0 * v,
-                                          position_constraints(n, length, 0.5))
+            positions = PositionSet(n, length, 0.5)
+            proj = project_feasible(v, positions)
+            ref = qp_active_set_reference(np.eye(n), -2.0 * v, positions.constraints)
             assert np.max(np.abs(proj - ref)) <= 1e-8
-            again = project_feasible(proj, length, 0.5)
+            again = project_feasible(proj, positions)
             assert np.max(np.abs(again - proj)) <= 1e-13
             if prev is not None and prev[0] == (n, length):
                 u, pu = prev[1]
@@ -325,8 +323,7 @@ def test_criterion_9_small_instance_global_sanity():
             report = ao_optimize(scenario, AoOptions(method="pdip",
                                                      max_rounds=60))
             state = report.state
-            obj = ApvObjective(effective_weights(state.b, state.m, scenario),
-                               scenario.aperture, scenario.min_spacing)
+            obj = effective_weights(state.b, state.m, scenario)
             _, g_best = grid_search_refined(obj, scenario.aperture,
                                             scenario.min_spacing,
                                             resolution=0.01)

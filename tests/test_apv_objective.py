@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from oracles import (cosine_gradient, cosine_hessian, cosine_value, cross_term,
                      fd_gradient, fd_hessian, power_term)
-from util import random_objective, random_state, random_weights
+from util import random_state, random_weights
 
-from fluidaircomp.apv_objective import (ApvObjective, EffectiveWeights,
-                                        effective_weights, position_constraints)
-from fluidaircomp.model import sample_scenario, steering_vector
+from fluidaircomp.apv_objective import ApvObjective, effective_weights
+from fluidaircomp.model import PositionSet, sample_scenario, steering_vector
 
 
 def _direct_inner(weights, k, x):
@@ -19,7 +18,7 @@ def _direct_inner(weights, k, x):
 
 
 def test_power_term_zero_weights():
-    weights = EffectiveWeights(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
+    weights = ApvObjective(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
     assert power_term(weights, 0, np.array([0.0, 1.0, 2.0])) == 0.0
 
 
@@ -36,7 +35,7 @@ def test_power_term_single_antenna_position_free():
 def test_cross_term_aligned_phase_maximum():
     phi = 2 * np.pi * np.cos(1.0)
     x1 = 0.7
-    weights = EffectiveWeights(np.array([[1.0]]), np.array([[phi * x1]]),
+    weights = ApvObjective(np.array([[1.0]]), np.array([[phi * x1]]),
                                np.array([phi]))
     assert cross_term(weights, 0, np.array([x1])) == pytest.approx(2.0)
     _, u = weights.steered(np.array([x1]))
@@ -60,9 +59,9 @@ def test_terms_match_direct_steering_evaluation(seed):
 
 def test_value_is_sum_of_terms_and_batch_agrees():
     rng = np.random.default_rng(8)
-    obj = random_objective(rng, 4, 5)
+    obj = random_weights(rng, 4, 5)
     pts = rng.uniform(0, 5, (7, 5))
-    expected = [sum(power_term(obj.weights, k, p) - cross_term(obj.weights, k, p)
+    expected = [sum(power_term(obj, k, p) - cross_term(obj, k, p)
                     for k in range(4)) for p in pts]
     assert np.allclose([obj.value(p) for p in pts], expected, atol=1e-10)
     assert np.allclose(obj.value(pts), expected, atol=1e-10)
@@ -71,7 +70,7 @@ def test_value_is_sum_of_terms_and_batch_agrees():
 def test_value_on_a_stack_equals_pointwise_calls():
     rng = np.random.default_rng(9)
     for k_users, n in ((1, 1), (1, 4), (3, 1), (4, 5)):
-        obj = random_objective(rng, k_users, n)
+        obj = random_weights(rng, k_users, n)
         pts = rng.uniform(-1, n + 1, (6, n))
         stacked = obj.value(pts)
         assert stacked.shape == (6,)
@@ -82,12 +81,12 @@ def test_shared_evaluation_is_never_stale():
     # value, gradient and hessian share one steering evaluation per point;
     # whatever the order of calls, each result equals a fresh evaluation
     rng = np.random.default_rng(12)
-    obj = random_objective(rng, 4, 5)
+    obj = random_weights(rng, 4, 5)
     x, y = rng.uniform(0, 5, 5), rng.uniform(0, 5, 5)
     stack = rng.uniform(0, 5, (3, 5))
 
     def fresh(method, point):
-        return getattr(ApvObjective(obj.weights, obj.aperture, obj.min_spacing),
+        return getattr(ApvObjective(obj.magnitudes, obj.phases, obj.spatial_freqs),
                        method)(point.copy())
 
     def check(method, point):
@@ -116,13 +115,12 @@ def test_kernel_matches_cosine_sum_references():
     for trial in range(300):
         k_users = 1 if trial % 5 == 0 else int(rng.integers(1, 6))
         n = 1 if trial % 7 == 0 else int(rng.integers(1, 7))
-        weights = random_weights(rng, k_users, n,
-                                 zero_frac=0.3 if trial % 3 == 0 else 0.0)
-        obj = ApvObjective(weights, float(n), 0.5)
+        obj = random_weights(rng, k_users, n,
+                             zero_frac=0.3 if trial % 3 == 0 else 0.0)
         x = rng.uniform(-1, n + 1, n)
-        for got, ref in ((obj.value(x), cosine_value(weights, x)),
-                         (obj.gradient(x), cosine_gradient(weights, x)),
-                         (obj.hessian(x), cosine_hessian(weights, x))):
+        for got, ref in ((obj.value(x), cosine_value(obj, x)),
+                         (obj.gradient(x), cosine_gradient(obj, x)),
+                         (obj.hessian(x), cosine_hessian(obj, x))):
             scale = 1.0 + np.max(np.abs(ref))
             assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-10 * scale
 
@@ -133,8 +131,7 @@ def test_residual_identity_with_effective_weights():
     for _ in range(1000):
         scenario = sample_scenario(4, 3, 0.0, seed=int(rng.integers(1 << 31)))
         b, m = random_state(rng, scenario)
-        weights = effective_weights(b, m, scenario)
-        obj = ApvObjective(weights, scenario.aperture, scenario.min_spacing)
+        obj = effective_weights(b, m, scenario)
         x = np.sort(rng.uniform(0, scenario.aperture, 4))
         direct = sum(
             abs(np.vdot(scenario.alphas[k] * np.conj(b[k]) * m,
@@ -144,8 +141,7 @@ def test_residual_identity_with_effective_weights():
 
 
 def test_zero_weights_flat_objective():
-    weights = EffectiveWeights(np.zeros((3, 4)), np.zeros((3, 4)), np.ones(3))
-    obj = ApvObjective(weights, 4.0, 0.5)
+    obj = ApvObjective(np.zeros((3, 4)), np.zeros((3, 4)), np.ones(3))
     x = np.array([0.0, 1.0, 2.0, 3.0])
     assert obj.value(x) == 0.0
     assert np.all(obj.gradient(x) == 0.0)
@@ -156,8 +152,8 @@ def test_zero_weights_flat_objective():
 @given(st.integers(0, 2**31 - 1))
 def test_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    obj = random_objective(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
-    n = obj.weights.n_antennas
+    obj = random_weights(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+    n = obj.n_antennas
     x = rng.uniform(0, n, n)
     grad = obj.gradient(x)
     approx = fd_gradient(obj.value, x, h=1e-6)
@@ -169,8 +165,8 @@ def test_gradient_matches_finite_differences(seed):
 @given(st.integers(0, 2**31 - 1))
 def test_hessian_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    obj = random_objective(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
-    n = obj.weights.n_antennas
+    obj = random_weights(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+    n = obj.n_antennas
     x = rng.uniform(0, n, n)
     hess = obj.hessian(x)
     assert np.allclose(hess, hess.T, atol=1e-12)
@@ -182,15 +178,13 @@ def test_hessian_matches_finite_differences(seed):
 def test_translation_invariance_with_phase_rereference():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        weights = random_weights(rng, 3, 4)
-        obj = ApvObjective(weights, 4.0, 0.5)
+        obj = random_weights(rng, 3, 4)
         x = rng.uniform(0, 4, 4)
         shift = rng.uniform(-2, 2)
-        shifted = EffectiveWeights(
-            magnitudes=weights.magnitudes,
-            phases=weights.phases + weights.spatial_freqs[:, None] * shift,
-            spatial_freqs=weights.spatial_freqs)
-        obj_shifted = ApvObjective(shifted, 4.0, 0.5)
+        obj_shifted = ApvObjective(
+            magnitudes=obj.magnitudes,
+            phases=obj.phases + obj.spatial_freqs[:, None] * shift,
+            spatial_freqs=obj.spatial_freqs)
         assert obj_shifted.value(x + shift) == pytest.approx(obj.value(x), abs=1e-9)
 
 
@@ -206,12 +200,12 @@ def test_term_bounds():
 
 
 def test_constraints_boundary_contact():
-    cons = position_constraints(2, 2.0, 0.5)
+    cons = PositionSet(2, 2.0, 0.5).constraints
     assert np.allclose(cons.values(np.array([0.0, 2.0])), [0.0, 0.0, -1.5])
 
 
 def test_constraints_flag_spacing_violation():
-    cons = position_constraints(2, 2.0, 0.5)
+    cons = PositionSet(2, 2.0, 0.5).constraints
     values = cons.values(np.array([1.0, 1.2]))
     assert values[2] == pytest.approx(0.3)
     assert np.any(values > 0)
@@ -220,7 +214,7 @@ def test_constraints_flag_spacing_violation():
 def test_constraints_uniform_grid_feasible():
     for n in (2, 4, 8):
         length = float(n)
-        cons = position_constraints(n, length, 0.5)
+        cons = PositionSet(n, length, 0.5).constraints
         x = np.linspace(0, length, n)
         values = cons.values(x)
         assert np.all(values <= 1e-12)
@@ -229,7 +223,7 @@ def test_constraints_uniform_grid_feasible():
 
 def test_constraints_jacobian_shape_and_linearity():
     rng = np.random.default_rng(2)
-    cons = position_constraints(5, 5.0, 0.5)
+    cons = PositionSet(5, 5.0, 0.5).constraints
     assert cons.matrix.shape == (6, 5)
     x, y = rng.normal(size=5), rng.normal(size=5)
     # affine: f(x+y) - f(x) is linear in y with the constant jacobian
@@ -237,6 +231,6 @@ def test_constraints_jacobian_shape_and_linearity():
 
 
 def test_constraints_single_antenna():
-    cons = position_constraints(1, 2.0, 0.5)
+    cons = PositionSet(1, 2.0, 0.5).constraints
     assert cons.matrix.shape == (2, 1)
     assert np.allclose(cons.values(np.array([0.5])), [-0.5, -1.5])

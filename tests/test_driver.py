@@ -3,30 +3,30 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import is_feasible_positions
 
-from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights
+from fluidaircomp.apv_objective import ApvObjective
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
-from fluidaircomp.model import (InfeasibleStartError, Scenario, interior_positions, mse,
-                               sample_scenario, uniform_positions)
+from fluidaircomp.model import (InfeasibleStartError, PositionSet, Scenario, mse,
+                               sample_scenario)
 from fluidaircomp.pdip import SolveReport
 from fluidaircomp.sca import solve_sca
 
 
 def test_fpa_positions_two_antennas():
-    assert np.allclose(uniform_positions(2, 2.0), [0.0, 2.0])
+    assert np.allclose(PositionSet(2, 2.0, 0.5).uniform(), [0.0, 2.0])
 
 
 def test_fpa_positions_five_antennas():
-    assert np.allclose(uniform_positions(5, 5.0), [0.0, 1.25, 2.5, 3.75, 5.0])
+    assert np.allclose(PositionSet(5, 5.0, 0.5).uniform(), [0.0, 1.25, 2.5, 3.75, 5.0])
 
 
 def test_fpa_positions_spacing_respects_default_geometry():
     for n in range(2, 26):
-        x = uniform_positions(n, float(n))
+        x = PositionSet(n, float(n), 0.5).uniform()
         assert np.min(np.diff(x)) >= 0.5
 
 
@@ -81,7 +81,7 @@ def test_determinism(method):
 def test_fpa_never_moves_positions():
     scenario = sample_scenario(5, 4, 0.0, seed=3)
     report = ao_optimize(scenario, AoOptions(method="fpa", max_rounds=20))
-    assert np.array_equal(report.state.x, uniform_positions(5, scenario.aperture))
+    assert np.array_equal(report.state.x, scenario.positions.uniform())
     assert report.inner_iterations == []
 
 
@@ -95,6 +95,16 @@ def test_unknown_method_rejected():
     scenario = sample_scenario(2, 2, 0.0, seed=0)
     with pytest.raises(ValueError):
         ao_optimize(scenario, AoOptions(method="annealing"))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(method="annealing"), dict(max_rounds=0), dict(tol_mse=float("nan")),
+    dict(tol_mse=-1.0),
+], ids=["method-unknown", "max-rounds-0", "tol-mse-nan", "tol-mse-neg"])
+def test_options_reject_bad_fields(overrides):
+    # a run must not return the untouched start or silently skip its stop rule
+    with pytest.raises(ValueError):
+        AoOptions(**{"method": "fpa", **overrides})
 
 
 def test_proposed_beats_fpa_on_average():
@@ -113,11 +123,11 @@ def test_failed_position_solver_is_flagged(monkeypatch):
     # a typed failure in round 2 is reported, with the last good state returned
     calls = []
 
-    def fails_in_round_2(objective, x0):
+    def fails_in_round_2(objective, positions, x0):
         calls.append(1)
         if len(calls) == 2:
             raise InfeasibleStartError("no start")
-        return solve_sca(objective, x0)
+        return solve_sca(objective, positions, x0)
 
     monkeypatch.setattr("fluidaircomp.driver.solve_sca", fails_in_round_2)
     scenario = sample_scenario(3, 2, 0.0, seed=4)
@@ -131,14 +141,23 @@ def test_failed_position_solver_is_flagged(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), k=st.integers(1, 3),
-       snr_db=st.sampled_from([-100.0, 0.0, 100.0]), tight=st.booleans(),
+       snr_db=st.sampled_from([-100.0, 0.0, 100.0]),
+       geometry=st.sampled_from(["default", "tight", 0.1, 0.3]),
        seed=st.integers(0, 2**16))
-def test_edges_keep_every_method_running(n, k, snr_db, tight, seed):
+@example(n=4, k=3, snr_db=0.0, geometry=0.1, seed=0)
+@example(n=4, k=3, snr_db=0.0, geometry=0.3, seed=0)
+def test_edges_keep_every_method_running(n, k, snr_db, geometry, seed):
     # N = 1, K = 1, extreme SNR and L = (N-1)*L0: only pdip, which needs a
-    # strictly interior start, may refuse, and it does so with a typed error
+    # strictly interior start, may refuse, and it does so with a typed error.
+    # A number geometry is L0 with L = (N-1)*L0 rounded to 12 decimals, which
+    # is tight only up to float rounding: 3 * 0.1 > 0.3 and 3 * 0.3 < 0.9
     scenario = sample_scenario(n, k, snr_db, seed)
-    if tight:
+    tight = geometry != "default"
+    if geometry == "tight":
         scenario = replace(scenario, aperture=(n - 1) * scenario.min_spacing)
+    elif tight:
+        scenario = replace(scenario, aperture=round((n - 1) * geometry, 12),
+                           min_spacing=geometry)
     finals = {}
     for method in METHODS:
         options = AoOptions(method=method, max_rounds=8)
@@ -196,7 +215,7 @@ def test_single_antenna_runs_every_method():
 def test_each_point_is_steered_once(method, monkeypatch):
     # value, gradient, Hessian, surrogate and acceptance guard share one
     # steering evaluation per (weights, x) pair
-    steered = EffectiveWeights.steered
+    steered = ApvObjective.steered
     calls, points = [], set()
 
     def counted(self, x):
@@ -207,7 +226,7 @@ def test_each_point_is_steered_once(method, monkeypatch):
         points.add((weights, x.shape, x.tobytes()))
         return steered(self, x)
 
-    monkeypatch.setattr(EffectiveWeights, "steered", counted)
+    monkeypatch.setattr(ApvObjective, "steered", counted)
     scenario = sample_scenario(4, 6, -5.0, seed=2)
     report = ao_optimize(scenario, AoOptions(method=method, max_rounds=8))
     assert report.rounds > 1
@@ -231,6 +250,6 @@ def test_guard_reads_the_solver_report(accept, monkeypatch):
     monkeypatch.setattr("fluidaircomp.driver.solve_pdip", solver)
     scenario = sample_scenario(3, 2, 0.0, seed=4)
     report = ao_optimize(scenario, AoOptions(method="pdip", max_rounds=1))
-    x0 = interior_positions(3, scenario.aperture, scenario.min_spacing)
+    x0 = scenario.positions.interior()
     assert report.rounds == 1
     assert np.array_equal(report.state.x, x0 + 1e-3 if accept else x0)

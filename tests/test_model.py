@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import channel, is_feasible_positions
 
-from fluidaircomp.model import (Scenario, channel_matrix, interior_positions,
-                                mse, sample_scenario, steering_vector,
-                                uniform_positions)
+from fluidaircomp.model import (PositionSet, Scenario, channel_matrix, mse,
+                                sample_scenario, steering_vector)
 
 
 def test_steering_zero_position_unit_phase():
@@ -57,7 +56,7 @@ def test_channel_index_out_of_range():
 
 def test_mse_zero_decoder_counts_users():
     scenario = sample_scenario(3, 5, 0.0, seed=1)
-    x = uniform_positions(3, scenario.aperture)
+    x = scenario.positions.uniform()
     b = np.ones(5, dtype=complex)
     assert mse(b, np.zeros(3, dtype=complex), scenario, x) == pytest.approx(5.0)
 
@@ -76,7 +75,7 @@ def test_mse_direct_substitution():
 
 def test_mse_dimension_mismatch():
     scenario = sample_scenario(2, 3, 0.0, seed=0)
-    x = uniform_positions(2, scenario.aperture)
+    x = scenario.positions.uniform()
     with pytest.raises(ValueError):
         mse(np.ones(2, dtype=complex), np.ones(2, dtype=complex), scenario, x)
 
@@ -134,6 +133,16 @@ def test_sample_scenario_snr_maps_to_noise():
 def test_scenario_rejects_bad_geometry():
     with pytest.raises(ValueError):
         Scenario(4, [1, 1], [1, 1], [1, 1], 1.0, 1.0, 0.5)
+    # tight in decimals: 3 * 0.1 rounds to 0.30000000000000004 > 0.3
+    tight = Scenario(4, [1, 1], [1, 1], [1, 1], 1.0, 0.3, 0.1)
+    assert tight.positions.slack == 0
+
+
+def test_position_set_rejects_non_finite_geometry():
+    # NaN compares false, so a NaN tolerance would pass every point as feasible
+    for aperture, spacing in ((np.nan, 0.5), (np.inf, 0.5), (3.0, np.nan)):
+        with pytest.raises(ValueError):
+            PositionSet(3, aperture, spacing)
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -168,7 +177,7 @@ def test_position_feasibility_helpers():
 
 def test_interior_positions_strictly_feasible():
     for n in (1, 2, 5, 10):
-        x = interior_positions(n, float(n), 0.5)
+        x = PositionSet(n, float(n), 0.5).interior()
         assert x[0] > 0 and x[-1] < n
         if n > 1:
             assert np.min(np.diff(x)) > 0.5
@@ -176,6 +185,6 @@ def test_interior_positions_strictly_feasible():
 
 def test_interior_positions_empty_interior_raises():
     with pytest.raises(ValueError):
-        interior_positions(3, 1.0, 0.5)
+        PositionSet(3, 1.0, 0.5).interior()
     with pytest.raises(ValueError):
-        interior_positions(1, 0.0, 0.5)
+        PositionSet(1, 0.0, 0.5).interior()

@@ -5,8 +5,7 @@ from scipy.optimize import brentq
 from oracles import grid_search_apv, qp_active_set_reference
 from util import warmed_objective
 
-from fluidaircomp.apv_objective import LinearConstraints, position_constraints
-from fluidaircomp.model import interior_positions
+from fluidaircomp.model import LinearConstraints, PositionSet
 from fluidaircomp.pdip import (InfeasibleStartError, QuadraticObjective,
                                SingularKktError, newton_step, residuals,
                                solve_pdip)
@@ -181,12 +180,13 @@ def test_solve_matches_active_set_reference_on_position_qps():
     rng = np.random.default_rng(77)
     for _ in range(25):
         n = int(rng.integers(1, 5))
-        cons = position_constraints(n, float(n), 0.5)
+        positions = PositionSet(n, float(n), 0.5)
+        cons = positions.constraints
         root = rng.normal(size=(n, n))
         quad = root @ root.T + 0.1 * np.eye(n)
         lin = rng.normal(size=n)
         obj = QuadraticObjective(quad, lin)
-        report = solve_pdip(obj, cons, interior_positions(n, float(n), 0.5))
+        report = solve_pdip(obj, cons, positions.interior())
         ref = qp_active_set_reference(quad, lin, cons)
         assert report.converged
         assert np.max(np.abs(report.x - ref)) < 1e-6
@@ -196,8 +196,8 @@ def test_solve_matches_active_set_reference_on_position_qps():
 def test_solve_strict_feasibility_along_the_run():
     # the solver must only ever evaluate the oracle at strictly feasible
     # points; a recording wrapper observes every query
-    _, objective, _ = warmed_objective(seed=5, n_antennas=4, n_users=3)
-    cons = objective.constraints
+    positions, objective, _ = warmed_objective(seed=5, n_antennas=4, n_users=3)
+    cons = positions.constraints
     seen = []
 
     class Spy:
@@ -213,8 +213,7 @@ def test_solve_strict_feasibility_along_the_run():
             seen.append(x.copy())
             return objective.hessian(x)
 
-    x0 = interior_positions(4, objective.aperture, objective.min_spacing)
-    report = solve_pdip(Spy(), cons, x0)
+    report = solve_pdip(Spy(), cons, positions.interior())
     assert np.max(cons.values(report.x)) < 0
     assert report.status in ("converged", "max_iters", "line_search_stall")
     assert seen
@@ -225,7 +224,7 @@ def test_solve_evaluates_each_point_once(monkeypatch):
     # the gradient is never taken twice at one point, and the residuals are
     # evaluated once at x0 and once per strictly feasible trial point; this
     # instance also rejects some feasible trial points in its line search
-    _, objective, _ = warmed_objective(seed=2, n_antennas=5, n_users=3)
+    positions, objective, _ = warmed_objective(seed=2, n_antennas=5, n_users=3)
     gradient_points = []
     feasible_points = set()
 
@@ -254,9 +253,8 @@ def test_solve_evaluates_each_point_once(monkeypatch):
         return residuals(*args)
 
     monkeypatch.setattr("fluidaircomp.pdip.residuals", counted_residuals)
-    cons = SpyConstraints(objective.constraints.matrix, objective.constraints.offsets)
-    x0 = interior_positions(5, objective.aperture, objective.min_spacing)
-    report = solve_pdip(Counting(), cons, x0)
+    cons = SpyConstraints(positions.constraints.matrix, positions.constraints.offsets)
+    report = solve_pdip(Counting(), cons, positions.interior())
     assert len(residual_calls) > report.iterations + 1
     assert len(gradient_points) == len(set(gradient_points))
     assert len(residual_calls) == len(feasible_points)
@@ -264,10 +262,10 @@ def test_solve_evaluates_each_point_once(monkeypatch):
 
 
 def test_solve_deterministic():
-    _, objective, _ = warmed_objective(seed=6, n_antennas=5, n_users=4)
-    x0 = interior_positions(5, objective.aperture, objective.min_spacing)
-    a = solve_pdip(objective, objective.constraints, x0)
-    b = solve_pdip(objective, objective.constraints, x0)
+    positions, objective, _ = warmed_objective(seed=6, n_antennas=5, n_users=4)
+    x0 = positions.interior()
+    a = solve_pdip(objective, positions.constraints, x0)
+    b = solve_pdip(objective, positions.constraints, x0)
     assert np.array_equal(a.x, b.x)
     assert a.value_history == b.value_history
 
@@ -275,11 +273,11 @@ def test_solve_deterministic():
 def test_solve_apv_instance_reaches_grid_optimum():
     # seeded non-convex instance where the interior-point run lands in the
     # global basin; the dense grid bounds the optimum from above
-    _, objective, _ = warmed_objective(seed=3, n_antennas=3, n_users=2)
-    x0 = interior_positions(3, objective.aperture, objective.min_spacing)
-    report = solve_pdip(objective, objective.constraints, x0)
+    positions, objective, _ = warmed_objective(seed=3, n_antennas=3, n_users=2)
+    x0 = positions.interior()
+    report = solve_pdip(objective, positions.constraints, x0)
     resolution = 0.015
-    _, g_best = grid_search_apv(objective, objective.aperture,
-                                objective.min_spacing, resolution)
+    _, g_best = grid_search_apv(objective, positions.aperture,
+                                positions.min_spacing, resolution)
     assert objective.value(report.x) <= g_best + 1e-4
     assert objective.value(report.x) <= objective.value(x0)

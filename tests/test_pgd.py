@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_search_refined, project_feasible_numpy, project_reference
-from util import random_feasible_positions, random_objective, warmed_objective
+from util import random_feasible_positions, random_weights, warmed_objective
 
 import fluidaircomp.pgd as pgd
-from fluidaircomp.apv_objective import ApvObjective, EffectiveWeights, position_constraints
+from fluidaircomp.apv_objective import ApvObjective
 from fluidaircomp.driver import AoOptions, ao_optimize
-from fluidaircomp.model import sample_scenario
+from fluidaircomp.model import PositionSet, sample_scenario
 from fluidaircomp.pgd import pava_nondecreasing, project_feasible, solve_pgd
 
 
@@ -35,20 +35,21 @@ def test_projection_identity_on_feasible_points():
     for _ in range(100):
         n = int(rng.integers(1, 7))
         x = random_feasible_positions(rng, n, float(n), 0.5)
-        assert np.array_equal(project_feasible(x, float(n), 0.5), x)
+        assert np.array_equal(project_feasible(x, PositionSet(n, float(n), 0.5)), x)
 
 
 def test_projection_two_antenna_kkt_case():
-    out = project_feasible(np.array([0.2, 0.1]), 2.0, 0.5)
-    ref = project_reference(np.array([0.2, 0.1]), position_constraints(2, 2.0, 0.5))
+    positions = PositionSet(2, 2.0, 0.5)
+    out = project_feasible(np.array([0.2, 0.1]), positions)
+    ref = project_reference(np.array([0.2, 0.1]), positions.constraints)
     assert np.max(np.abs(out - ref)) < 1e-8
 
 
 def test_projection_equal_inputs_spread_into_chain():
-    cons = position_constraints(3, 5.0, 0.5)
+    positions = PositionSet(3, 5.0, 0.5)
     v = np.full(3, 2.0)
-    out = project_feasible(v, 5.0, 0.5)
-    ref = project_reference(v, cons)
+    out = project_feasible(v, positions)
+    ref = project_reference(v, positions.constraints)
     assert np.max(np.abs(out - ref)) < 1e-8
     assert np.allclose(out, [1.5, 2.0, 2.5])  # shifted chain, interior case
 
@@ -58,10 +59,10 @@ def test_projection_matches_active_set_oracle():
     for _ in range(300):
         n = int(rng.integers(1, 6))
         length = float(rng.uniform((n - 1) * 0.5, 3 * n))
-        cons = position_constraints(n, length, 0.5)
+        positions = PositionSet(n, length, 0.5)
         v = rng.uniform(-length, 2 * length, n)
-        out = project_feasible(v, length, 0.5)
-        ref = project_reference(v, cons)
+        out = project_feasible(v, positions)
+        ref = project_reference(v, positions.constraints)
         assert np.max(np.abs(out - ref)) < 1e-8
 
 
@@ -73,11 +74,12 @@ def test_projection_idempotent_and_nonexpansive(seed):
     length = float(n)
     u = rng.uniform(-2, length + 2, n)
     v = rng.uniform(-2, length + 2, n)
-    pu = project_feasible(u, length, 0.5)
-    pv = project_feasible(v, length, 0.5)
+    positions = PositionSet(n, length, 0.5)
+    pu = project_feasible(u, positions)
+    pv = project_feasible(v, positions)
     # idempotent up to the last ulp of the ramp round trip; feasible inputs
     # short-circuit, so the drift cannot compound
-    assert np.allclose(project_feasible(pu, length, 0.5), pu, rtol=0, atol=1e-13)
+    assert np.allclose(project_feasible(pu, positions), pu, rtol=0, atol=1e-13)
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
 
@@ -93,14 +95,14 @@ def test_projection_bitwise_equals_numpy_reference():
             v = rng.uniform(-2, length + 2, n)
         if trial % 5 == 0:  # ties and repeated blocks
             v = np.round(v)
-        out = project_feasible(v, length, spacing)
+        out = project_feasible(v, PositionSet(n, length, spacing))
         ref = project_feasible_numpy(v, length, spacing)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
 def test_projection_infeasible_geometry_raises():
     with pytest.raises(ValueError):
-        project_feasible(np.zeros(4), 1.0, 0.5)
+        project_feasible(np.zeros(4), PositionSet(4, 1.0, 0.5))
 
 
 @pytest.mark.parametrize("n", [10, 20, 40])
@@ -108,23 +110,24 @@ def test_solve_accepts_projected_starts(n):
     # projected points may miss a spacing row by a few ulps; the start check
     # must still take them, or PGD would reject its own previous iterate
     rng = np.random.default_rng(n)
-    obj = random_objective(rng, 3, n)
+    obj = random_weights(rng, 3, n)
+    positions = PositionSet(n, float(n), 0.5)
     worst, worst_violation = None, -np.inf
     for _ in range(1000):
-        p = project_feasible(rng.uniform(-2, n + 2, n), obj.aperture, obj.min_spacing)
-        obj.feasible_start(p)
-        violation = float(np.max(obj.constraints.values(p)))
+        p = project_feasible(rng.uniform(-2, n + 2, n), positions)
+        positions.check(p)
+        violation = float(np.max(positions.constraints.values(p)))
         if violation > worst_violation:
             worst, worst_violation = p, violation
-    report = solve_pgd(obj, worst)
+    report = solve_pgd(obj, positions, worst)
     assert report.value <= obj.value(worst)
 
 
 def test_solve_stationary_interior_start_returns_immediately():
-    weights = EffectiveWeights(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1))
-    obj = ApvObjective(weights, 2.0, 0.5)  # flat objective: gradient is zero
+    # flat objective: gradient is zero
+    obj = ApvObjective(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1))
     x0 = np.array([0.4, 1.3])
-    report = solve_pgd(obj, x0)
+    report = solve_pgd(obj, PositionSet(2, 2.0, 0.5), x0)
     assert report.converged
     assert report.iterations == 0 and report.value_history == [obj.value(x0)]
     assert np.array_equal(report.x, x0)
@@ -135,36 +138,33 @@ def test_solve_monotone_and_feasible():
     converged = 0
     for seed in range(100):
         n = int(rng.integers(2, 5))
-        _, objective, x0 = warmed_objective(seed=seed, n_antennas=n,
-                                            n_users=int(rng.integers(1, 5)))
-        report = solve_pgd(objective, x0)
+        positions, objective, x0 = warmed_objective(seed=seed, n_antennas=n,
+                                                    n_users=int(rng.integers(1, 5)))
+        report = solve_pgd(objective, positions, x0)
         history = np.asarray(report.value_history)
         assert np.all(np.diff(history) <= 1e-12)
-        assert np.max(objective.constraints.values(report.x)) <= 1e-9
+        assert np.max(positions.constraints.values(report.x)) <= 1e-9
         if report.converged:
             # near-stationary at the returned point: the full _STEP0
             # projected gradient step moves x by at most _TOL_X
             converged += 1
             full = project_feasible(report.x - pgd._STEP0 * objective.gradient(report.x),
-                                    objective.aperture, objective.min_spacing)
+                                    positions)
             assert np.linalg.norm(full - report.x) <= pgd._TOL_X
     assert converged >= 50
 
 
-class _Separable:
-    """g(x) = sum_n d_n (x_n - c_n)^2 / 2 with the attributes solve_pgd reads;
-    the antennas stay far from the box and from each other."""
+_SEPARABLE_SET = PositionSet(3, 10.0, 0.5)
 
-    aperture = 10.0
-    min_spacing = 0.5
+
+class _Separable:
+    """g(x) = sum_n d_n (x_n - c_n)^2 / 2 with the methods solve_pgd calls;
+    on _SEPARABLE_SET the antennas stay far from the box and from each other."""
 
     def __init__(self, curvature, centre):
         self.curvature = np.asarray(curvature, dtype=float)
         self.centre = np.asarray(centre, dtype=float)
         self.points = []  # (x, gradient) per gradient call
-
-    def feasible_start(self, x0):
-        return np.asarray(x0, dtype=float)
 
     def value(self, x):
         return 0.5 * float(self.curvature @ (x - self.centre) ** 2)
@@ -180,13 +180,13 @@ def _first_trials(monkeypatch, objective, x0, iterations):
     gamma * grad is the first trial point handed to the projection."""
     trials = []
 
-    def spy(v, aperture, min_spacing):
+    def spy(v, positions):
         trials.append((len(objective.points), np.array(v, dtype=float)))
-        return project_feasible(v, aperture, min_spacing)
+        return project_feasible(v, positions)
 
     monkeypatch.setattr(pgd, "project_feasible", spy)
     objective.points.clear()
-    solve_pgd(objective, x0)
+    solve_pgd(objective, _SEPARABLE_SET, x0)
     assert len(objective.points) >= iterations
     return [(x, grad, next(v for seen, v in trials if seen == i + 1))
             for i, (x, grad) in enumerate(objective.points[:iterations])]
@@ -221,14 +221,14 @@ def test_trace_cell_takes_few_trials_per_iteration(monkeypatch):
     # the trace cell (N=10, K=100, -10 dB, seed 0): each steered point is one
     # trial, so restarting every ladder at _STEP0 costs about 3.4 per
     # accepted iteration
-    steered = EffectiveWeights.steered
+    steered = ApvObjective.steered
     calls = []
 
     def counted(self, x):
         calls.append(1)
         return steered(self, x)
 
-    monkeypatch.setattr(EffectiveWeights, "steered", counted)
+    monkeypatch.setattr(ApvObjective, "steered", counted)
     report = ao_optimize(sample_scenario(10, 100, -10.0, seed=0), AoOptions(method="pgd"))
     iterations = sum(report.inner_iterations)
     assert iterations > 1000
@@ -236,9 +236,9 @@ def test_trace_cell_takes_few_trials_per_iteration(monkeypatch):
 
 
 def test_solve_never_beats_grid_optimum():
-    _, objective, x0 = warmed_objective(seed=21, n_antennas=3, n_users=2)
-    report = solve_pgd(objective, x0)
-    _, g_best = grid_search_refined(objective, objective.aperture,
-                                    objective.min_spacing, resolution=0.02)
+    positions, objective, x0 = warmed_objective(seed=21, n_antennas=3, n_users=2)
+    report = solve_pgd(objective, positions, x0)
+    _, g_best = grid_search_refined(objective, positions.aperture,
+                                    positions.min_spacing, resolution=0.02)
     assert report.value >= g_best - 1e-2
     assert report.value <= objective.value(x0)
