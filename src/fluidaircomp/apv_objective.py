@@ -1,27 +1,29 @@
-"""Antenna-position objective: value and analytic derivatives over fixed weights.
+"""Antenna-position objective: the residual sum and its analytic derivatives.
 
-With w_k = alpha_k * conj(b_k) * m, the position-dependent part of the MSE
-depends on x only through the steered weights and their sums
+With b and m held fixed, the MSE depends on x only through the steered
+weights and their sums
 
-    v_kn = |w_kn| exp(j (phi_k x_n - ang_kn)),    u_k = sum_n v_kn = w_k^H a(x, theta_k),
+    v_kn = c_kn exp(j phi_k x_n),    u_k = sum_n v_kn = m^H h_k(x) b_k,
 
-where phi_k = 2*pi*cos(theta_k) and ang_kn = angle(w_kn). Then
+where c_kn = alpha_k b_k conj(m_n) and phi_k = 2*pi*cos(theta_k). The
+position objective is the residual sum
 
-    g(x)           = sum_k |u_k|^2 - 2 Re u_k,
+    g(x)           = sum_k |u_k - 1|^2 = MSE(b, m, x) - sigma2 ||m||^2,
     dg/dx_p        = -2 sum_k phi_k Im(v_kp (conj(u_k) - 1)),
     d2g/dx_p dx_q  = 2 sum_k phi_k^2 Re(v_kp conj(v_kq))             (p != q),
     d2g/dx_p^2     = 2 sum_k phi_k^2 (|v_kp|^2 - Re(v_kp (conj(u_k) - 1))),
 
 so the off-diagonal Hessian is the matrix product 2 Re(V^T Phi^2 conj(V)).
-The full residual sum relates to g through sum_k |w_k^H a - 1|^2 = g(x) + K.
+g is summed from the residuals themselves, so it carries the rounding of
+the MSE and not that of a difference of O(K) terms.
 
-Bounding every cosine's curvature by 1 gives the SCA majorant of g + K, a
-convex quadratic x^T Q x + c^T x + d with an anchor-independent
+Bounding every cosine's curvature by 1 gives the SCA majorant of g, a
+convex quadratic x^T Q x + l^T x + d with an anchor-independent
 
-    Q = diag(sum_k phi_k^2 (sum_n |w_kn| + 1) |w_k|) - |W|^T Phi^2 |W|.
+    Q = diag(sum_k phi_k^2 (sum_n |c_kn| + 1) |c_k|) - |C|^T Phi^2 |C|.
 
-It touches g + K at the anchor a and is smooth, so it is also tangent there:
-c = grad g(a) - 2 Q a and d = g(a) + K - a^T Q a - c^T a.
+It touches g at the anchor a and is smooth, so it is also tangent there:
+l = grad g(a) - 2 Q a and d = g(a) - a^T Q a - l^T a.
 """
 
 from __future__ import annotations
@@ -30,42 +32,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TWO_PI, Scenario
+from .model import Scenario, steering
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApvObjective:
-    """Evaluation oracle for g(x) and its derivatives, over fixed weights w_k.
+    """Evaluation oracle for g(x) and its derivatives, over fixed coefficients.
 
-    The weights are kept in polar form: magnitudes[k, n] = |w_kn|,
-    phases[k, n] = angle(w_kn), and spatial_freqs[k] = 2*pi*cos(theta_k) in
+    coefficients[k, n] = c_kn and spatial_freqs[k] = phi_k in
     wavelength-normalized units. Accepts arbitrary real position vectors,
     feasible or not; solvers need values outside the feasible set while
     backtracking. value, gradient and hessian share one steering evaluation
     per point: the (v, u) of the last point asked about are kept, keyed on its
     shape and bytes, so a solver that asks for the value, gradient and Hessian
-    at one x forms them once.
+    at one x forms them once. Objectives compare and hash by identity.
     """
 
-    magnitudes: np.ndarray
-    phases: np.ndarray
+    coefficients: np.ndarray
     spatial_freqs: np.ndarray
-    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _last: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_users(self) -> int:
-        return self.magnitudes.shape[0]
+        return self.coefficients.shape[0]
 
     @property
     def n_antennas(self) -> int:
-        return self.magnitudes.shape[1]
+        return self.coefficients.shape[1]
 
     def steered(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Steered weights v[..., k, n] and their sums u[..., k] = w_k^H a(x, theta_k)
+        """Steered weights v[..., k, n] and their sums u[..., k] = m^H h_k(x) b_k
         for positions x of shape (..., N)."""
-        x = np.asarray(x, dtype=float)
-        phase = self.spatial_freqs[:, None] * x[..., None, :] - self.phases
-        v = self.magnitudes * np.exp(1j * phase)
+        v = self.coefficients * np.swapaxes(steering(x, self.spatial_freqs), -1, -2)
         return v, v.sum(axis=-1)
 
     def _steered(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +81,8 @@ class ApvObjective:
     def value(self, x: np.ndarray) -> float | np.ndarray:
         """g(x); a (P, N) stack of points gives the (P,) array of values."""
         _, u = self._steered(x)
-        g = np.sum(u.real**2 + u.imag**2 - 2.0 * u.real, axis=-1)
+        r = u - 1.0
+        g = np.sum(r.real**2 + r.imag**2, axis=-1)
         return float(g) if g.ndim == 0 else g
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -105,13 +104,9 @@ class ApvObjective:
 
 
 def effective_weights(b: np.ndarray, m: np.ndarray, scenario: Scenario) -> ApvObjective:
-    """g over w_k = alpha_k * conj(b_k) * m for every user.
+    """g over c_kn = alpha_k * b_k * conj(m_n) for every user.
 
     Rebuild after every change of b or m; nothing here caches on mutation.
     """
-    w = scenario.alphas[:, None] * np.conj(b)[:, None] * np.asarray(m)[None, :]
-    return ApvObjective(
-        magnitudes=np.abs(w),
-        phases=np.angle(w),
-        spatial_freqs=TWO_PI * np.cos(scenario.thetas),
-    )
+    c = scenario.alphas[:, None] * np.asarray(b)[:, None] * np.conj(m)[None, :]
+    return ApvObjective(coefficients=c, spatial_freqs=scenario.spatial_freqs)

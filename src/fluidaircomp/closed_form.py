@@ -44,5 +44,7 @@ def update_m(b: np.ndarray, scenario: Scenario, x: np.ndarray) -> np.ndarray:
     rhs = weighted.sum(axis=1)
     try:
         return scipy.linalg.solve(a, rhs, assume_a="pos")
-    except np.linalg.LinAlgError as exc:  # unreachable for sigma2 > 0
+    except np.linalg.LinAlgError as exc:
+        # sigma2 below the Gram matrix's rounding makes it numerically
+        # singular: sample_scenario(10, 2, 200.0, seed=0) under fpa reaches this
         raise RuntimeError("decoder system unexpectedly singular") from exc

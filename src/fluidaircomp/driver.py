@@ -109,7 +109,8 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
                 break
             inner_iters.append(inner.iterations)
             # accept the new positions only if they do not increase the MSE;
-            # every solver reports g at its start and at the x it returns
+            # every solver reports g = MSE - sigma2 ||m||^2 at its start and
+            # at the x it returns
             if inner.value <= inner.value_history[0]:
                 x = inner.x
 

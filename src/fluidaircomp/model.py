@@ -1,4 +1,4 @@
-"""Core system model: scenarios, steering vectors, LoS channels, and the exact MSE.
+"""Core system model: scenarios, the steering kernel, LoS channels, and the exact MSE.
 
 All positions and lengths are expressed in wavelength units, so the carrier
 wavelength never appears as a separate parameter.
@@ -33,6 +33,7 @@ class Scenario:
         aperture: length L of the segment the antennas live on.
         min_spacing: minimum distance L0 between adjacent antennas.
         positions: the PositionSet of (N, L, L0), built and checked on construction.
+        spatial_freqs: (K,) spatial frequencies 2*pi*cos(theta_k), set on construction.
     """
 
     n_antennas: int
@@ -43,6 +44,7 @@ class Scenario:
     aperture: float
     min_spacing: float
     positions: PositionSet = field(init=False, repr=False, compare=False)
+    spatial_freqs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
@@ -66,6 +68,7 @@ class Scenario:
             raise ValueError("noise power must be positive")
         object.__setattr__(self, "positions",
                            PositionSet(self.n_antennas, self.aperture, self.min_spacing))
+        object.__setattr__(self, "spatial_freqs", TWO_PI * np.cos(self.thetas))
 
     @property
     def n_users(self) -> int:
@@ -82,13 +85,12 @@ class TransceiverState:
     mse: float
 
 
-def steering_vector(x: np.ndarray, theta: float) -> np.ndarray:
-    """Receive phase response exp(j*2*pi*x_n*cos(theta)) for positions x.
-
-    Every entry has unit modulus; x is in wavelengths.
-    """
+def steering(x: np.ndarray, spatial_freqs: np.ndarray) -> np.ndarray:
+    """exp(j*x_n*phi_k) of shape (..., N, K) for positions x of shape (..., N)
+    and spatial frequencies phi of shape (K,); the library's one complex
+    exponential. Every entry has unit modulus; x is in wavelengths."""
     x = np.asarray(x, dtype=float)
-    return np.exp(1j * TWO_PI * np.cos(theta) * x)
+    return np.exp(1j * (x[..., :, None] * spatial_freqs))
 
 
 def channel_matrix(scenario: Scenario, x: np.ndarray) -> np.ndarray:
@@ -96,9 +98,7 @@ def channel_matrix(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (scenario.n_antennas,):
         raise ValueError("position vector has wrong length")
-    # exp(j*phi_k*x_n) columnwise, scaled by the gains
-    phases = np.outer(x, TWO_PI * np.cos(scenario.thetas))
-    return scenario.alphas[None, :] * np.exp(1j * phases)
+    return scenario.alphas * steering(x, scenario.spatial_freqs)
 
 
 def mse(b: np.ndarray, m: np.ndarray, scenario: Scenario, x: np.ndarray) -> float:

@@ -43,14 +43,18 @@ class SingularKktError(RuntimeError):
 class SolveReport:
     """Outcome of one solver run (shared by the PDIP, SCA, and PGD drivers).
 
-    value_history[0] is g at the start and value_history[-1] g at x."""
+    value_history[0] is g at the start and value_history[-1] g at x; each
+    iteration appends one entry."""
 
     x: np.ndarray
-    iterations: int
     status: str
     value_history: list
     dual_residual: float = float("nan")
     duality_gap: float = float("nan")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.value_history) - 1
 
     @property
     def value(self) -> float:
@@ -149,13 +153,12 @@ def solve_pdip(objective, constraints: LinearConstraints,
     r_dual, _ = residuals(objective, constraints, x, nu, _XI * m_c / eta)
     history = [objective.value(x)]
     status = "max_iters"
-    iterations = 0
 
     while True:
         if np.linalg.norm(r_dual) <= _EPS_FEAS and eta <= _EPS:
             status = "converged"
             break
-        if iterations == _MAX_ITERS:
+        if len(history) > _MAX_ITERS:
             break
         delta = _XI * m_c / eta
         r_cent = -nu * f - 1.0 / delta
@@ -189,12 +192,10 @@ def solve_pdip(objective, constraints: LinearConstraints,
 
         x, nu, f, r_dual = x_try, nu_try, f_try, r_dual_try
         eta = float(-f @ nu)
-        iterations += 1
         history.append(objective.value(x))
 
     return SolveReport(
         x=x,
-        iterations=iterations,
         status=status,
         value_history=history,
         dual_residual=float(np.linalg.norm(r_dual)),

@@ -130,5 +130,4 @@ def solve_pgd(objective: ApvObjective, positions: PositionSet,
         x = x_new
         g_cur = g_new
         history.append(g_cur)
-    return SolveReport(x=x, iterations=len(history) - 1, status=status,
-                       value_history=history)
+    return SolveReport(x=x, status=status, value_history=history)

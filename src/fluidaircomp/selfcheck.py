@@ -11,8 +11,7 @@ import numpy as np
 from .apv_objective import effective_weights
 from .closed_form import update_b, update_m
 from .driver import METHODS, AoOptions, ao_optimize
-from .model import (InfeasibleStartError, PositionSet, mse, sample_scenario,
-                    steering_vector)
+from .model import InfeasibleStartError, PositionSet, mse, sample_scenario, steering
 from .pgd import project_feasible
 from .sca import build_surrogate
 
@@ -36,8 +35,8 @@ def _random_state(scenario, rng):
 
 def _check_steering(rng):
     x = np.sort(rng.uniform(0, 5, 6))
-    theta = rng.uniform(1e-3, np.pi - 1e-3)
-    mods = np.abs(steering_vector(x, theta))
+    freqs = 2 * np.pi * np.cos(rng.uniform(1e-3, np.pi - 1e-3, 1))
+    mods = np.abs(steering(x, freqs))
     return np.max(np.abs(mods - 1.0)) < 1e-12, "unit modulus"
 
 
@@ -95,10 +94,10 @@ def _check_objective_definition(rng):
     obj = effective_weights(b, m, scenario)
     direct = 0.0
     for k in range(scenario.n_users):
-        w = scenario.alphas[k] * np.conj(b[k]) * m
-        direct += abs(np.vdot(w, steering_vector(x, scenario.thetas[k])) - 1.0) ** 2
-    err = abs(obj.value(x) + scenario.n_users - direct)
-    return err < 1e-9 * (1 + abs(direct)), "g + K equals the residual sum"
+        h_k = scenario.alphas[k] * np.exp(2j * np.pi * np.cos(scenario.thetas[k]) * x)
+        direct += abs(np.vdot(m, h_k) * b[k] - 1.0) ** 2
+    err = abs(obj.value(x) - direct)
+    return err < 1e-9 * (1 + abs(direct)), "g equals the residual sum"
 
 
 def _check_surrogate(rng):
@@ -107,12 +106,12 @@ def _check_surrogate(rng):
     obj = effective_weights(b, m, scenario)
     anchor = np.sort(rng.uniform(0, scenario.aperture, 4))
     surrogate = build_surrogate(obj, anchor)
-    tight = abs(surrogate.value(anchor) - (obj.value(anchor) + scenario.n_users))
+    tight = abs(surrogate.value(anchor) - obj.value(anchor))
     if tight > 1e-8 * (1 + abs(surrogate.value(anchor))):
         return False, "surrogate not tight at anchor"
     for _ in range(200):
         x = np.sort(rng.uniform(0, scenario.aperture, 4))
-        if surrogate.value(x) < obj.value(x) + scenario.n_users - 1e-9:
+        if surrogate.value(x) < obj.value(x) - 1e-9:
             return False, "surrogate dipped below the true objective"
     return True, "tightness and majorization sample"
 
@@ -145,7 +144,7 @@ def _check_ao_monotone(rng):
 
 
 _CHECKS = (
-    ("steering vector modulus", _check_steering),
+    ("steering kernel modulus", _check_steering),
     ("mse phase invariance", _check_mse_phase_invariance),
     ("b update", _check_b_update),
     ("m update", _check_m_update),

@@ -42,13 +42,26 @@ def fd_hessian(fun, x, h=1e-4):
     return hess
 
 
+def steering_vector(x, theta):
+    """Receive phase response a(x, theta)_n = exp(j 2 pi x_n cos(theta))."""
+    return np.exp(2j * np.pi * np.cos(theta) * np.asarray(x, dtype=float))
+
+
+def polar(weights):
+    """(|w|, ang) of the weights w_kn = conj(c_kn) = |w_kn| exp(j ang_kn),
+    the polar view the cosine sums below are written in."""
+    c = weights.coefficients
+    return np.abs(c), -np.angle(c)
+
+
 def power_term(weights, k, x):
     """P_k(x) = |w_k^H a(x, theta_k)|^2 as the double cosine sum
     sum_{n,l} |w_kn||w_kl| cos(q_k(x_n, x_l)), q_k = s_kn - s_kl,
     s_kn = phi_k x_n - ang_kn."""
     x = np.asarray(x, dtype=float)
-    w = weights.magnitudes[k]
-    s = weights.spatial_freqs[k] * x - weights.phases[k]
+    w, ang = polar(weights)
+    w = w[k]
+    s = weights.spatial_freqs[k] * x - ang[k]
     q = s[:, None] - s[None, :]
     return float(np.sum(np.outer(w, w) * np.cos(q)))
 
@@ -56,29 +69,32 @@ def power_term(weights, k, x):
 def cross_term(weights, k, x):
     """C_k(x) = 2 Re(w_k^H a(x, theta_k)) as the single cosine sum."""
     x = np.asarray(x, dtype=float)
-    w = weights.magnitudes[k]
-    s = weights.spatial_freqs[k] * x - weights.phases[k]
+    w, ang = polar(weights)
+    w = w[k]
+    s = weights.spatial_freqs[k] * x - ang[k]
     return float(2.0 * np.sum(w * np.cos(s)))
 
 
 def _phase_args(weights, x):
-    return weights.spatial_freqs[:, None] * x[None, :] - weights.phases
+    return weights.spatial_freqs[:, None] * x[None, :] - polar(weights)[1]
 
 
 def cosine_value(weights, x):
-    """g(x) = sum_k P_k(x) - C_k(x) from the K x N x N cosine tensor."""
+    """g(x) = sum_k |w_k^H a(x, theta_k) - 1|^2 = sum_k P_k(x) - C_k(x) + 1
+    from the K x N x N cosine tensor."""
     x = np.asarray(x, dtype=float)
-    w = weights.magnitudes
+    w = polar(weights)[0]
     s = _phase_args(weights, x)
     q = s[:, :, None] - s[:, None, :]
     pair = w[:, :, None] * w[:, None, :]
-    return float(np.einsum("knl,knl->", pair, np.cos(q)) - 2.0 * np.sum(w * np.cos(s)))
+    return float(np.einsum("knl,knl->", pair, np.cos(q)) - 2.0 * np.sum(w * np.cos(s))
+                 + weights.n_users)
 
 
 def cosine_gradient(weights, x):
     """Entry p: sum_k -2 phi_k |w_kp| [sum_l |w_kl| sin(q_k(x_p, x_l)) - sin(s_kp)]."""
     x = np.asarray(x, dtype=float)
-    w = weights.magnitudes
+    w = polar(weights)[0]
     phi = weights.spatial_freqs
     s = _phase_args(weights, x)
     q = s[:, :, None] - s[:, None, :]
@@ -89,7 +105,7 @@ def cosine_gradient(weights, x):
 def cosine_hessian(weights, x):
     """Hessian of g from the K x N x N cosine tensor."""
     x = np.asarray(x, dtype=float)
-    w = weights.magnitudes
+    w = polar(weights)[0]
     phi2 = weights.spatial_freqs[:, None] ** 2
     s = _phase_args(weights, x)
     q = s[:, :, None] - s[:, None, :]
@@ -108,10 +124,11 @@ def power_upper_bound(weights, k, anchor):
     P_k(x) <= x^T A_k x - v_k^T x + c_k for all x, with equality at the anchor.
     """
     anchor = np.asarray(anchor, dtype=float)
-    w = weights.magnitudes[k]
+    w, ang = polar(weights)
+    w = w[k]
     phi = weights.spatial_freqs[k]
     quad = phi**2 * (w.sum() * np.diag(w) - np.outer(w, w))
-    s = phi * anchor - weights.phases[k]
+    s = phi * anchor - ang[k]
     q = s[:, None] - s[None, :]
     diff = anchor[:, None] - anchor[None, :]
     pair = np.outer(w, w)
@@ -128,10 +145,11 @@ def cross_lower_bound(weights, k, anchor):
     C_k(x) >= -x^T At_k x + 2 vt_k^T x + 2 ct_k for all x, tight at the anchor.
     """
     anchor = np.asarray(anchor, dtype=float)
-    w = weights.magnitudes[k]
+    w, ang = polar(weights)
+    w = w[k]
     phi = weights.spatial_freqs[k]
     quad = phi**2 * np.diag(w)
-    s = phi * anchor - weights.phases[k]
+    s = phi * anchor - ang[k]
     lin = w * (phi**2 * anchor - np.sin(s) * phi)
     const = float(np.sum(w * (np.cos(s) + np.sin(s) * phi * anchor
                               - 0.5 * phi**2 * anchor**2)))
@@ -139,7 +157,7 @@ def cross_lower_bound(weights, k, anchor):
 
 
 def summed_bounds(weights, anchor):
-    """Majorant of sum_k |w_k^H a(x) - 1|^2 as sum_k (upper P_k - lower C_k + 1),
+    """Majorant of g(x) = sum_k |w_k^H a(x) - 1|^2 as sum_k (upper P_k - lower C_k + 1),
     returned as (quad, lin, const) of x^T quad x - lin^T x + const."""
     n = weights.n_antennas
     quad, lin, const = np.zeros((n, n)), np.zeros(n), 0.0

@@ -4,28 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (cosine_gradient, cosine_hessian, cosine_value, cross_term,
-                     fd_gradient, fd_hessian, power_term)
+                     fd_gradient, fd_hessian, polar, power_term, steering_vector)
 from util import random_state, random_weights
 
 from fluidaircomp.apv_objective import ApvObjective, effective_weights
-from fluidaircomp.model import PositionSet, sample_scenario, steering_vector
+from fluidaircomp.model import PositionSet, sample_scenario
 
 
 def _direct_inner(weights, k, x):
     """w_k^H a(x, theta_k) straight from the steering vector."""
-    w = weights.magnitudes[k] * np.exp(1j * weights.phases[k])
+    w = weights.coefficients[k].conj()
     return np.vdot(w, np.exp(1j * weights.spatial_freqs[k] * x))
 
 
 def test_power_term_zero_weights():
-    weights = ApvObjective(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2))
+    weights = ApvObjective(np.zeros((2, 3)), np.ones(2))
     assert power_term(weights, 0, np.array([0.0, 1.0, 2.0])) == 0.0
 
 
 def test_power_term_single_antenna_position_free():
     rng = np.random.default_rng(4)
     weights = random_weights(rng, 1, 1)
-    expected = weights.magnitudes[0, 0] ** 2
+    expected = abs(weights.coefficients[0, 0]) ** 2
     for x in (0.0, 0.3, 0.9):
         assert power_term(weights, 0, np.array([x])) == pytest.approx(expected)
         _, u = weights.steered(np.array([x]))
@@ -35,8 +35,7 @@ def test_power_term_single_antenna_position_free():
 def test_cross_term_aligned_phase_maximum():
     phi = 2 * np.pi * np.cos(1.0)
     x1 = 0.7
-    weights = ApvObjective(np.array([[1.0]]), np.array([[phi * x1]]),
-                               np.array([phi]))
+    weights = ApvObjective(np.array([[np.exp(-1j * phi * x1)]]), np.array([phi]))
     assert cross_term(weights, 0, np.array([x1])) == pytest.approx(2.0)
     _, u = weights.steered(np.array([x1]))
     assert 2.0 * u[0].real == pytest.approx(2.0)
@@ -61,7 +60,7 @@ def test_value_is_sum_of_terms_and_batch_agrees():
     rng = np.random.default_rng(8)
     obj = random_weights(rng, 4, 5)
     pts = rng.uniform(0, 5, (7, 5))
-    expected = [sum(power_term(obj, k, p) - cross_term(obj, k, p)
+    expected = [sum(power_term(obj, k, p) - cross_term(obj, k, p) + 1.0
                     for k in range(4)) for p in pts]
     assert np.allclose([obj.value(p) for p in pts], expected, atol=1e-10)
     assert np.allclose(obj.value(pts), expected, atol=1e-10)
@@ -86,7 +85,7 @@ def test_shared_evaluation_is_never_stale():
     stack = rng.uniform(0, 5, (3, 5))
 
     def fresh(method, point):
-        return getattr(ApvObjective(obj.magnitudes, obj.phases, obj.spatial_freqs),
+        return getattr(ApvObjective(obj.coefficients, obj.spatial_freqs),
                        method)(point.copy())
 
     def check(method, point):
@@ -126,7 +125,7 @@ def test_kernel_matches_cosine_sum_references():
 
 
 def test_residual_identity_with_effective_weights():
-    # sum_k |w_k^H a - 1|^2 == g(x) + K for weights built from (b, m, alphas)
+    # g(x) == sum_k |w_k^H a - 1|^2 for weights built from (b, m, alphas)
     rng = np.random.default_rng(21)
     for _ in range(1000):
         scenario = sample_scenario(4, 3, 0.0, seed=int(rng.integers(1 << 31)))
@@ -137,13 +136,23 @@ def test_residual_identity_with_effective_weights():
             abs(np.vdot(scenario.alphas[k] * np.conj(b[k]) * m,
                         steering_vector(x, scenario.thetas[k])) - 1.0) ** 2
             for k in range(3))
-        assert obj.value(x) + 3 == pytest.approx(direct, abs=1e-9 * (1 + direct))
+        assert obj.value(x) == pytest.approx(direct, abs=1e-9 * (1 + direct))
+
+
+def test_objectives_compare_and_hash_by_identity():
+    rng = np.random.default_rng(5)
+    obj = random_weights(rng, 2, 3)
+    twin = ApvObjective(obj.coefficients, obj.spatial_freqs)
+    assert obj == obj and not obj != obj
+    assert obj != twin and not obj == twin
+    assert hash(obj) == hash(obj)
+    assert len({obj, twin, obj}) == 2
 
 
 def test_zero_weights_flat_objective():
-    obj = ApvObjective(np.zeros((3, 4)), np.zeros((3, 4)), np.ones(3))
+    obj = ApvObjective(np.zeros((3, 4)), np.ones(3))
     x = np.array([0.0, 1.0, 2.0, 3.0])
-    assert obj.value(x) == 0.0
+    assert obj.value(x) == 3.0
     assert np.all(obj.gradient(x) == 0.0)
     assert np.all(obj.hessian(x) == 0.0)
 
@@ -181,10 +190,9 @@ def test_translation_invariance_with_phase_rereference():
         obj = random_weights(rng, 3, 4)
         x = rng.uniform(0, 4, 4)
         shift = rng.uniform(-2, 2)
-        obj_shifted = ApvObjective(
-            magnitudes=obj.magnitudes,
-            phases=obj.phases + obj.spatial_freqs[:, None] * shift,
-            spatial_freqs=obj.spatial_freqs)
+        rotation = np.exp(-1j * obj.spatial_freqs[:, None] * shift)
+        obj_shifted = ApvObjective(coefficients=obj.coefficients * rotation,
+                                   spatial_freqs=obj.spatial_freqs)
         assert obj_shifted.value(x + shift) == pytest.approx(obj.value(x), abs=1e-9)
 
 
@@ -194,7 +202,7 @@ def test_term_bounds():
         weights = random_weights(rng, 2, 3, zero_frac=0.2)
         x = rng.uniform(-1, 4, 3)
         for k in range(2):
-            total = 2.0 * np.sum(weights.magnitudes[k])
+            total = 2.0 * np.sum(polar(weights)[0][k])
             assert power_term(weights, k, x) >= -1e-9
             assert -total - 1e-9 <= cross_term(weights, k, x) <= total + 1e-9
 

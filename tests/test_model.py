@@ -3,34 +3,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import channel, is_feasible_positions
+from oracles import channel, is_feasible_positions, steering_vector
 
 from fluidaircomp.model import (PositionSet, Scenario, channel_matrix, mse,
-                                sample_scenario, steering_vector)
+                                sample_scenario, steering)
+
+
+def _freqs(*thetas):
+    return 2.0 * np.pi * np.cos(np.array(thetas))
 
 
 def test_steering_zero_position_unit_phase():
-    out = steering_vector(np.array([0.0]), 1.0)
-    assert out.shape == (1,)
-    assert out[0] == pytest.approx(1.0 + 0.0j)
+    out = steering(np.array([0.0]), _freqs(1.0))
+    assert out.shape == (1, 1)
+    assert out[0, 0] == pytest.approx(1.0 + 0.0j)
 
 
 def test_steering_broadside_kills_phase():
-    out = steering_vector(np.array([0.5]), np.pi / 2)
-    assert abs(out[0] - 1.0) < 1e-12
+    out = steering(np.array([0.5]), _freqs(np.pi / 2))
+    assert abs(out[0, 0] - 1.0) < 1e-12
 
 
 def test_steering_half_wavelength_endfire():
-    out = steering_vector(np.array([0.0, 0.5]), 0.0)
-    assert out[0] == pytest.approx(1.0 + 0.0j)
-    assert out[1] == pytest.approx(-1.0 + 0.0j, abs=1e-12)
+    out = steering(np.array([0.0, 0.5]), _freqs(0.0))
+    assert out[0, 0] == pytest.approx(1.0 + 0.0j)
+    assert out[1, 0] == pytest.approx(-1.0 + 0.0j, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.001, np.pi - 0.001), st.integers(1, 8), st.integers(0, 2**31 - 1))
 def test_steering_unit_modulus(theta, n, seed):
     x = np.sort(np.random.default_rng(seed).uniform(0, 10, n))
-    assert np.max(np.abs(np.abs(steering_vector(x, theta)) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.abs(steering(x, _freqs(theta))) - 1.0)) < 1e-12
+
+
+def test_steering_columns_are_per_user_steering_vectors():
+    rng = np.random.default_rng(3)
+    thetas = rng.uniform(1e-3, np.pi - 1e-3, 4)
+    points = rng.uniform(0, 5, (6, 3))
+    out = steering(points, _freqs(*thetas))
+    assert out.shape == (6, 3, 4)
+    for p, x in enumerate(points):
+        for k, theta in enumerate(thetas):
+            assert np.allclose(out[p, :, k], steering_vector(x, theta), rtol=0, atol=1e-12)
 
 
 def test_channel_single_antenna_gain():

@@ -45,20 +45,20 @@ def test_fd_gradient_second_order_in_h():
 
 
 def test_grid_search_single_antenna_scan():
-    # one antenna, one user: g(x) = w^2 - 2 w cos(phi x - ang), minimized where
-    # the cosine peaks; exact location ang/phi is resolvable to the grid step
+    # one antenna, one user: g(x) = w^2 - 2 w cos(phi x - ang) + 1, minimized
+    # where the cosine peaks; exact location ang/phi is resolvable to the grid step
     phi = 2.0 * np.pi * np.cos(1.1)
     target = 0.37
-    obj = ApvObjective(np.array([[0.9]]), np.array([[phi * target]]), np.array([phi]))
+    obj = ApvObjective(np.array([[0.9 * np.exp(-1j * phi * target)]]), np.array([phi]))
     x_best, g_best = grid_search_apv(obj, 1.0, 0.0, resolution=1e-3)
     assert x_best[0] == pytest.approx(target, abs=1e-3)
     assert g_best == pytest.approx(obj.value(np.array([target])), abs=1e-4)
 
 
 def test_grid_search_constant_objective_returns_first_point():
-    obj = ApvObjective(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1))
+    obj = ApvObjective(np.zeros((1, 2)), np.ones(1))
     x_best, g_best = grid_search_apv(obj, 2.0, 0.5, resolution=0.1)
-    assert g_best == 0.0
+    assert g_best == 1.0
     assert np.allclose(x_best, [0.0, 0.5])
 
 
@@ -75,7 +75,7 @@ def test_grid_search_sandwich_with_pdip():
 
 
 def _gradient_bound(objective):
-    w = objective.magnitudes
+    w = np.abs(objective.coefficients)
     phi = np.abs(objective.spatial_freqs)
     w0 = w.sum(axis=1)
     return float(np.sum(2 * phi * (w0**2 + w0)))
@@ -113,6 +113,6 @@ def test_qp_reference_agrees_with_pdip_on_surrogate_qp():
 
 
 def test_grid_search_rejects_large_n():
-    obj = ApvObjective(np.zeros((1, 4)), np.zeros((1, 4)), np.ones(1))
+    obj = ApvObjective(np.zeros((1, 4)), np.ones(1))
     with pytest.raises(ValueError):
         grid_search_apv(obj, 4.0, 0.5, resolution=0.5)

@@ -125,7 +125,7 @@ def test_solve_accepts_projected_starts(n):
 
 def test_solve_stationary_interior_start_returns_immediately():
     # flat objective: gradient is zero
-    obj = ApvObjective(np.zeros((1, 2)), np.zeros((1, 2)), np.ones(1))
+    obj = ApvObjective(np.zeros((1, 2)), np.ones(1))
     x0 = np.array([0.4, 1.3])
     report = solve_pgd(obj, PositionSet(2, 2.0, 0.5), x0)
     assert report.converged

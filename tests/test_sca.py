@@ -17,7 +17,7 @@ def quad_eval(quad, lin, const, x):
 
 
 def test_bounds_zero_weights_give_zero_coefficients():
-    weights = ApvObjective(np.zeros((1, 3)), np.zeros((1, 3)), np.ones(1))
+    weights = ApvObjective(np.zeros((1, 3)), np.ones(1))
     anchor = np.array([0.0, 1.0, 2.0])
     for build in (power_upper_bound, cross_lower_bound):
         parts = build(weights, 0, anchor)
@@ -84,12 +84,12 @@ def test_surrogate_dominates_residual_sum():
         obj = random_weights(rng, k_users, n)
         anchor = rng.uniform(0, n, n)
         surrogate = build_surrogate(obj, anchor)
-        true_at_anchor = obj.value(anchor) + k_users
+        true_at_anchor = obj.value(anchor)
         assert surrogate.value(anchor) == pytest.approx(
             true_at_anchor, abs=1e-8 * (1 + abs(true_at_anchor)))
         for _ in range(30):
             x = rng.uniform(-1, n + 1, n)
-            assert surrogate.value(x) >= obj.value(x) + k_users - 1e-8
+            assert surrogate.value(x) >= obj.value(x) - 1e-8
 
 
 def test_surrogate_curvature_is_psd():
@@ -108,7 +108,7 @@ def test_solve_returns_fixed_point_immediately():
     # unconstrained minimizer is the anchor itself
     phi = 2.0 * np.pi * np.cos(1.2)
     x0 = np.array([0.6])
-    obj = ApvObjective(np.array([[0.8]]), np.array([[phi * 0.6]]), np.array([phi]))
+    obj = ApvObjective(np.array([[0.8 * np.exp(-1j * phi * 0.6)]]), np.array([phi]))
     report = solve_sca(obj, PositionSet(1, 1.0, 0.0), x0)
     assert report.converged
     assert report.iterations == 1
@@ -163,8 +163,7 @@ def test_inner_qp_failure_is_reported(monkeypatch):
     positions, objective, x0 = warmed_objective(seed=13, n_antennas=3, n_users=2)
 
     def not_converged(qp, constraints, start):
-        return SolveReport(x=start, iterations=0, status="max_iters",
-                           value_history=[qp.value(start)])
+        return SolveReport(x=start, status="max_iters", value_history=[qp.value(start)])
 
     monkeypatch.setattr("fluidaircomp.sca.solve_pdip", not_converged)
     report = solve_sca(objective, positions, x0)

@@ -15,7 +15,7 @@ def random_weights(rng, n_users, n_antennas, zero_frac=0.0) -> ApvObjective:
         mags[rng.random((n_users, n_antennas)) < zero_frac] = 0.0
     phases = rng.uniform(-np.pi, np.pi, (n_users, n_antennas))
     freqs = 2.0 * np.pi * np.cos(rng.uniform(1e-3, np.pi - 1e-3, n_users))
-    return ApvObjective(magnitudes=mags, phases=phases, spatial_freqs=freqs)
+    return ApvObjective(coefficients=mags * np.exp(-1j * phases), spatial_freqs=freqs)
 
 
 def random_feasible_positions(rng, n_antennas, aperture, min_spacing) -> np.ndarray:
