@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 
@@ -33,7 +35,12 @@ def update_m(b: np.ndarray, scenario: Scenario, x: np.ndarray) -> np.ndarray:
     """Least-squares decoder (sigma2*I + sum |b_k|^2 h_k h_k^H)^-1 sum b_k h_k.
 
     The system matrix is Hermitian positive definite for sigma2 > 0, so it is
-    solved with a Cholesky-backed routine instead of an explicit inverse.
+    solved with a Cholesky-backed routine instead of an explicit inverse. When
+    sigma2 is below the rounding of the Gram matrix, the system is
+    numerically singular (sample_scenario(10, 2, 200.0, seed=0) under fpa
+    reaches it): the Cholesky solve then fails or warns, and m is the
+    least-squares solution of the stacked system [W^H; sigma I] m = [1; 0]
+    with W's columns b_k h_k, whose normal equations these are.
     """
     if scenario.sigma2 <= 0:
         raise ValueError("decoder update requires positive noise power")
@@ -43,8 +50,10 @@ def update_m(b: np.ndarray, scenario: Scenario, x: np.ndarray) -> np.ndarray:
     a = scenario.sigma2 * np.eye(n, dtype=complex) + weighted @ weighted.conj().T
     rhs = weighted.sum(axis=1)
     try:
-        return scipy.linalg.solve(a, rhs, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        # sigma2 below the Gram matrix's rounding makes it numerically
-        # singular: sample_scenario(10, 2, 200.0, seed=0) under fpa reaches this
-        raise RuntimeError("decoder system unexpectedly singular") from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            return scipy.linalg.solve(a, rhs, assume_a="pos")
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+        stacked = np.vstack([weighted.conj().T, np.sqrt(scenario.sigma2) * np.eye(n)])
+        target = np.concatenate([np.ones(b.size), np.zeros(n)])
+        return np.linalg.lstsq(stacked, target, rcond=None)[0]

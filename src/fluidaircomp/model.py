@@ -161,7 +161,6 @@ def sample_scenario(
 
 
 _MARGIN_FRAC = 1e-3  # interior grid's end margin, as a fraction of L
-_BLEND = 1e-3  # weight nudge puts on the interior grid
 
 
 @dataclass(frozen=True)
@@ -256,12 +255,3 @@ class PositionSet:
             return np.array([self.aperture / 2.0])
         margin = min(_MARGIN_FRAC * self.aperture, self.slack / 4.0)
         return np.linspace(margin, self.aperture - margin, self.n_antennas)
-
-    def nudge(self, x: np.ndarray) -> np.ndarray:
-        """Blend x toward the interior grid so every constraint is strictly slack.
-
-        For feasible x the constraints are affine, so any positive blend weight
-        toward a strictly interior point yields a strictly interior point.
-        """
-        x = np.asarray(x, dtype=float)
-        return (1.0 - _BLEND) * x + _BLEND * self.interior()

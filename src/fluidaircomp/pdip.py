@@ -1,11 +1,10 @@
 """Primal-dual interior-point method for linearly constrained minimization.
 
 The objective is supplied as an oracle exposing value(x), gradient(x), and
-hessian(x); constraints are affine (LinearConstraints). The same solver runs
-both the non-convex antenna-position problem, whose Hessian may be
-indefinite (hence the damping in newton_step), and the convex quadratic
-subproblems built by the SCA routine. The iteration is the primal-dual method
-of Boyd & Vandenberghe, Convex Optimization, section 11.7.
+hessian(x); constraints are affine (LinearConstraints). The solver runs the
+non-convex antenna-position problem, whose Hessian may be indefinite (hence
+the damping in newton_step). The iteration is the primal-dual method of
+Boyd & Vandenberghe, Convex Optimization, section 11.7.
 """
 
 from __future__ import annotations

@@ -47,6 +47,13 @@ def steering_vector(x, theta):
     return np.exp(2j * np.pi * np.cos(theta) * np.asarray(x, dtype=float))
 
 
+def nudge(positions, x, blend=1e-3):
+    """Blend a feasible x toward the interior grid; the constraints are
+    affine, so every one of them is then strictly slack, as solve_pdip's
+    start must be."""
+    return (1.0 - blend) * np.asarray(x, dtype=float) + blend * positions.interior()
+
+
 def polar(weights):
     """(|w|, ang) of the weights w_kn = conj(c_kn) = |w_kn| exp(j ang_kn),
     the polar view the cosine sums below are written in."""

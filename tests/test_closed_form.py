@@ -10,6 +10,7 @@ from oracles import brute_force_b, update_b_single
 from util import random_feasible_positions, random_state
 
 from fluidaircomp.closed_form import update_b, update_m
+from fluidaircomp.driver import AoOptions, ao_optimize
 from fluidaircomp.model import Scenario, channel_matrix, mse, sample_scenario
 
 
@@ -153,3 +154,13 @@ def test_m_update_requires_positive_noise():
     broken.sigma2 = 0.0
     with pytest.raises(ValueError):
         update_m(np.ones(2, dtype=complex), broken, np.linspace(0, 2, 2))
+
+
+@pytest.mark.parametrize("snr_db", [150.0, 200.0])
+def test_m_update_survives_a_numerically_singular_system(snr_db):
+    # sigma2 below the Gram matrix's rounding: at 200 dB the Cholesky solve
+    # fails, at 150 dB it warns that the system is ill-conditioned
+    report = ao_optimize(sample_scenario(10, 2, snr_db, seed=0), AoOptions("fpa", 20))
+    hist = np.asarray(report.mse_history)
+    assert np.all(np.isfinite(hist))
+    assert np.all(np.diff(hist) <= 1e-9 * hist[:-1])

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
-from oracles import (cross_lower_bound, cross_term, grid_search_refined,
+from oracles import (cross_lower_bound, cross_term, grid_search_refined, nudge,
                      power_term, power_upper_bound, summed_bounds)
-from util import random_weights, warmed_objective
+from util import random_feasible_positions, random_weights, warmed_objective
 
 import fluidaircomp.sca
 from fluidaircomp.apv_objective import ApvObjective
 from fluidaircomp.model import PositionSet
-from fluidaircomp.pdip import SolveReport
-from fluidaircomp.sca import build_surrogate, solve_sca
+from fluidaircomp.pdip import SolveReport, solve_pdip
+from fluidaircomp.sca import build_surrogate, solve_qp, solve_sca
 
 
 def quad_eval(quad, lin, const, x):
@@ -103,6 +104,62 @@ def test_surrogate_curvature_is_psd():
         assert np.linalg.eigvalsh(surrogate.quad).min() >= -1e-9
 
 
+def qp_anchors(positions, rng):
+    """Feasible anchors on the segment ends and on active spacing rows."""
+    n, length, gap = positions.n_antennas, positions.aperture, positions.min_spacing
+    packed = gap * np.arange(n)
+    x = random_feasible_positions(rng, n, length, gap)
+    if n > 1:
+        i = int(rng.integers(1, n))
+        x[i:] -= x[i] - x[i - 1] - gap  # antennas i - 1 and i at spacing L0
+    return [positions.uniform(), packed, packed + (length - packed[-1]), x,
+            random_feasible_positions(rng, n, length, gap)]
+
+
+def assert_kkt_certificate(qp, positions, x):
+    """x minimizes the convex qp over the position constraints: it is feasible
+    and nonnegative multipliers on the constraints it touches make the
+    Lagrangian stationary, with lam_i f_i(x) = 0."""
+    constraints = positions.constraints
+    f = constraints.values(x)
+    assert f.max() <= positions.tolerance
+    grad = qp.gradient(x)
+    scale = np.abs(qp.lin).max() + 2.0 * np.abs(qp.quad @ x).max()
+    active = f >= -positions.tolerance
+    lam = np.zeros(constraints.n_constraints)
+    if active.any():
+        lam[active] = nnls(constraints.matrix[active].T, -grad)[0]
+    assert lam.min() >= 0.0
+    assert np.max(np.abs(grad + constraints.matrix.T @ lam)) <= 1e-8 * scale
+    assert np.max(np.abs(lam * f)) <= 1e-8 * scale
+
+
+def test_qp_solve_is_certified_optimal():
+    rng = np.random.default_rng(48)
+    for seed in range(40):
+        n = 1 + seed % 6
+        positions, objective, _ = warmed_objective(seed=seed, n_antennas=n,
+                                                   n_users=int(rng.integers(1, 5)))
+        if seed % 5 == 0:
+            # a zero column of c: g does not depend on that antenna
+            coefficients = objective.coefficients.copy()
+            coefficients[:, int(rng.integers(n))] = 0.0
+            objective = ApvObjective(coefficients, objective.spatial_freqs)
+        for anchor in qp_anchors(positions, rng):
+            qp = build_surrogate(objective, anchor)
+            report = solve_qp(qp, positions, anchor)
+            assert report.converged
+            assert_kkt_certificate(qp, positions, report.x)
+            # warm started on the constraints it touches, the minimizer is
+            # confirmed by one KKT solve
+            again = solve_qp(qp, positions, report.x)
+            assert again.converged and again.iterations == 1
+            assert np.max(np.abs(again.x - report.x)) <= 1e-12
+            reference = solve_pdip(qp, positions.constraints, nudge(positions, anchor))
+            assert reference.converged
+            assert qp.value(report.x) <= reference.value + 1e-8
+
+
 def test_solve_returns_fixed_point_immediately():
     # single antenna, weight phase aligned with the anchor: the surrogate's
     # unconstrained minimizer is the anchor itself
@@ -162,10 +219,10 @@ def test_inner_qp_failure_is_reported(monkeypatch):
     # an unsolvable inner problem must surface with the inner status
     positions, objective, x0 = warmed_objective(seed=13, n_antennas=3, n_users=2)
 
-    def not_converged(qp, constraints, start):
+    def not_converged(qp, positions, start):
         return SolveReport(x=start, status="max_iters", value_history=[qp.value(start)])
 
-    monkeypatch.setattr("fluidaircomp.sca.solve_pdip", not_converged)
+    monkeypatch.setattr("fluidaircomp.sca.solve_qp", not_converged)
     report = solve_sca(objective, positions, x0)
     assert not report.converged
     assert report.status == "inner_qp_max_iters"
@@ -178,7 +235,7 @@ def test_solve_takes_exactly_one_step(monkeypatch):
     # surrogate and one inner QP; the driver repeats the call per round
     positions, objective, x0 = warmed_objective(seed=12, n_antennas=3, n_users=2)
     assert float(np.max(np.abs(sca_until_stalled(objective, positions, x0).x - x0))) > 1e-3
-    calls = {"build_surrogate": 0, "solve_pdip": 0}
+    calls = {"build_surrogate": 0, "solve_qp": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -190,6 +247,6 @@ def test_solve_takes_exactly_one_step(monkeypatch):
         monkeypatch.setattr(f"fluidaircomp.sca.{name}",
                             counted(name, getattr(fluidaircomp.sca, name)))
     report = solve_sca(objective, positions, x0)
-    assert calls == {"build_surrogate": 1, "solve_pdip": 1}
+    assert calls == {"build_surrogate": 1, "solve_qp": 1}
     assert report.iterations == 1
     assert report.value_history == [objective.value(x0), report.value]
