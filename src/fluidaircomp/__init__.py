@@ -4,8 +4,8 @@ from .apv_objective import ApvObjective, effective_weights
 from .closed_form import update_b, update_m
 from .driver import METHODS, AoOptions, AoReport, ao_optimize
 from .experiments import ExperimentConfig, parse_config, run_sweep
-from .model import (LinearConstraints, PositionSet, Scenario, TransceiverState,
-                    channel_matrix, mse, sample_scenario, steering)
+from .model import (PositionSet, Scenario, TransceiverState, channel_matrix, mse,
+                    sample_scenario, steering)
 from .pdip import QuadraticObjective, SolveReport, solve_pdip
 from .pgd import project_feasible, solve_pgd
 from .sca import build_surrogate, solve_sca
@@ -14,7 +14,7 @@ __all__ = [
     "ApvObjective", "effective_weights", "update_b", "update_m",
     "METHODS", "AoOptions", "AoReport", "ao_optimize",
     "ExperimentConfig", "parse_config", "run_sweep",
-    "LinearConstraints", "PositionSet", "Scenario", "TransceiverState",
+    "PositionSet", "Scenario", "TransceiverState",
     "channel_matrix", "mse", "sample_scenario", "steering",
     "QuadraticObjective", "SolveReport", "solve_pdip",
     "project_feasible", "solve_pgd",

@@ -80,6 +80,8 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
     t_start = time.perf_counter()
 
     positions = scenario.positions
+    # looked up per call, so a rebound module attribute (a tracer, a test) is used
+    solve = {"pdip": solve_pdip, "sca": solve_sca, "pgd": solve_pgd}.get(opts.method)
     x = positions.interior() if opts.method == "pdip" else positions.uniform()
     b = np.sqrt(scenario.powers).astype(complex)
     m = np.zeros(scenario.n_antennas, dtype=complex)
@@ -93,15 +95,10 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
         m = update_m(b, scenario, x)
         b = update_b(m, scenario, x)
 
-        if opts.method != "fpa":
+        if solve is not None:
             objective = effective_weights(b, m, scenario)
             try:
-                if opts.method == "pdip":
-                    inner = solve_pdip(objective, positions.constraints, x)
-                elif opts.method == "sca":
-                    inner = solve_sca(objective, positions, x)
-                else:
-                    inner = solve_pgd(objective, positions, x)
+                inner = solve(objective, positions, x)
             except InfeasibleStartError:
                 status = f"position_solver_failed_round_{t}"
                 mse_cur = mse(b, m, scenario, x)

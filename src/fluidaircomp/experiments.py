@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("antenna and user counts must be at least 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.timing not in ("none", "wall"):
             raise ValueError("timing must be 'none' or 'wall'")
         if not self.methods or len(set(self.methods)) != len(self.methods):
@@ -159,9 +161,10 @@ def _run_cell(args) -> list[tuple]:
 
 def _map_cells(cells: list, workers: int):
     """Yield each cell's rows in cell order, from one pool for the whole sweep
-    when more than one worker and more than one cell."""
+    when more than one worker and more than one cell. The pool has at most
+    one worker per cell, since a forked pool starts all its workers at once."""
     if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             yield from pool.map(_run_cell, cells, chunksize=1)
     else:
         yield from map(_run_cell, cells)

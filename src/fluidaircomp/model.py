@@ -164,21 +164,6 @@ _MARGIN_FRAC = 1e-3  # interior grid's end margin, as a fraction of L
 
 
 @dataclass(frozen=True)
-class LinearConstraints:
-    """Affine inequalities f_i(x) = matrix[i] @ x + offsets[i] <= 0."""
-
-    matrix: np.ndarray
-    offsets: np.ndarray
-
-    @property
-    def n_constraints(self) -> int:
-        return self.offsets.shape[0]
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float) + self.offsets
-
-
-@dataclass(frozen=True)
 class PositionSet:
     """The feasible antenna positions: 0 <= x_1, x_N <= L and x_n - x_{n-1} >= L0.
 
@@ -214,26 +199,34 @@ class PositionSet:
         return 0.0 if abs(slack) <= self.tolerance else slack
 
     @cached_property
-    def constraints(self) -> LinearConstraints:
-        """The N+1 rows: -x_1 <= 0, x_N - L <= 0, and the spacing rows
-        x_{n-1} - x_n + L0 <= 0 for n = 2..N."""
+    def matrix(self) -> np.ndarray:
+        """(N+1, N) rows of the constraints f(x) = matrix @ x + offsets <= 0:
+        -x_1 <= 0, x_N - L <= 0, and x_{n-1} - x_n + L0 <= 0 for n = 2..N."""
         n = self.n_antennas
         mat = np.zeros((n + 1, n))
-        off = np.zeros(n + 1)
         mat[0, 0] = -1.0
         mat[1, n - 1] = 1.0
-        off[1] = -self.aperture
         for i in range(2, n + 1):
             mat[i, i - 2] = 1.0
             mat[i, i - 1] = -1.0
-            off[i] = self.min_spacing
-        return LinearConstraints(matrix=mat, offsets=off)
+        return mat
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        off = np.full(self.n_antennas + 1, float(self.min_spacing))
+        off[0] = 0.0
+        off[1] = -self.aperture
+        return off
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The constraint values f(x); x is feasible where all are <= 0."""
+        return self.matrix @ np.asarray(x, dtype=float) + self.offsets
 
     def check(self, x0: np.ndarray) -> np.ndarray:
         """x0 as a float copy; raises InfeasibleStartError unless it is
         feasible up to the tolerance, which projected points may need."""
         x = np.asarray(x0, dtype=float).copy()
-        if np.max(self.constraints.values(x)) > self.tolerance:
+        if np.max(self.values(x)) > self.tolerance:
             raise InfeasibleStartError("x0 violates the position constraints")
         return x
 

@@ -1,9 +1,10 @@
 """Primal-dual interior-point method for linearly constrained minimization.
 
 The objective is supplied as an oracle exposing value(x), gradient(x), and
-hessian(x); constraints are affine (LinearConstraints). The solver runs the
-non-convex antenna-position problem, whose Hessian may be indefinite (hence
-the damping in newton_step). The iteration is the primal-dual method of
+hessian(x); the constraints are the affine rows f(x) = matrix @ x + offsets
+<= 0 of a PositionSet, of which only matrix and values(x) are read. The solver
+runs the non-convex antenna-position problem, whose Hessian may be indefinite
+(hence the damping in newton_step). The iteration is the primal-dual method of
 Boyd & Vandenberghe, Convex Optimization, section 11.7.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InfeasibleStartError, LinearConstraints
+from .model import InfeasibleStartError, PositionSet
 
 # Barrier scaling xi > 1: delta = xi * m / eta.
 _XI = 10.0
@@ -82,21 +83,21 @@ class QuadraticObjective:
         return 2.0 * self.quad
 
 
-def residuals(objective, constraints: LinearConstraints, x: np.ndarray,
+def residuals(objective, positions: PositionSet, x: np.ndarray,
               nu: np.ndarray, delta: float):
     """Dual residual grad g + Df^T nu and centrality residual -diag(nu) f - 1/delta."""
-    f = constraints.values(x)
+    f = positions.values(x)
     if np.max(f) >= 0:
         raise InfeasibleStartError("residuals require a strictly feasible point")
     grad = objective.gradient(x)
     if not np.all(np.isfinite(grad)):
         raise ValueError("objective gradient is not finite")
-    r_dual = grad + constraints.matrix.T @ nu
+    r_dual = grad + positions.matrix.T @ nu
     r_cent = -nu * f - 1.0 / delta
     return r_dual, r_cent
 
 
-def newton_step(objective, constraints: LinearConstraints, x: np.ndarray,
+def newton_step(objective, positions: PositionSet, x: np.ndarray,
                 nu: np.ndarray, r_dual: np.ndarray, r_cent: np.ndarray):
     """Solve the primal-dual Newton system at (x, nu) with the given residuals
     for (dx, dnu).
@@ -105,8 +106,8 @@ def newton_step(objective, constraints: LinearConstraints, x: np.ndarray,
     inaccurate factorization a Levenberg-style rho*I term is added, escalating
     rho tenfold up to 5 times before giving up.
     """
-    f = constraints.values(x)
-    jac = constraints.matrix
+    f = positions.values(x)
+    jac = positions.matrix
     n = x.size
     hess = objective.hessian(x)
     hess_diag = np.diag(hess)
@@ -130,8 +131,7 @@ def newton_step(objective, constraints: LinearConstraints, x: np.ndarray,
     raise SingularKktError("KKT system unsolvable after damping escalation")
 
 
-def solve_pdip(objective, constraints: LinearConstraints,
-               x0: np.ndarray) -> SolveReport:
+def solve_pdip(objective, positions: PositionSet, x0: np.ndarray) -> SolveReport:
     """Run the interior-point iteration from a strictly feasible x0.
 
     Every accepted iterate keeps f(x) < 0 and nu > 0; the line search first
@@ -143,13 +143,13 @@ def solve_pdip(objective, constraints: LinearConstraints,
     strictly feasible trial point; an accepted trial point's are reused.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f = constraints.values(x)
+    f = positions.values(x)
     if np.max(f) >= 0:
         raise InfeasibleStartError("x0 must satisfy f(x0) < 0 strictly")
     nu = -1.0 / f
-    m_c = constraints.n_constraints
+    m_c = f.size
     eta = float(-f @ nu)
-    r_dual, _ = residuals(objective, constraints, x, nu, _XI * m_c / eta)
+    r_dual, _ = residuals(objective, positions, x, nu, _XI * m_c / eta)
     history = [objective.value(x)]
     status = "max_iters"
 
@@ -162,7 +162,7 @@ def solve_pdip(objective, constraints: LinearConstraints,
         delta = _XI * m_c / eta
         r_cent = -nu * f - 1.0 / delta
         try:
-            dx, dnu = newton_step(objective, constraints, x, nu, r_dual, r_cent)
+            dx, dnu = newton_step(objective, positions, x, nu, r_dual, r_cent)
         except SingularKktError:
             status = "singular_kkt"
             break
@@ -175,10 +175,10 @@ def solve_pdip(objective, constraints: LinearConstraints,
         base_norm = float(np.sqrt(np.sum(r_dual**2) + np.sum(r_cent**2)))
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + gamma * dx
-            f_try = constraints.values(x_try)
+            f_try = positions.values(x_try)
             if np.max(f_try) < 0:
                 nu_try = nu + gamma * dnu
-                r_dual_try, r_cent_try = residuals(objective, constraints,
+                r_dual_try, r_cent_try = residuals(objective, positions,
                                                    x_try, nu_try, delta)
                 trial_norm = float(np.sqrt(np.sum(r_dual_try**2)
                                            + np.sum(r_cent_try**2)))

@@ -64,8 +64,7 @@ def solve_qp(qp: QuadraticObjective, positions: PositionSet,
     value_history holds q at x0 and after each step; the status is
     converged, max_iters or singular_kkt.
     """
-    constraints = positions.constraints
-    mat = constraints.matrix
+    mat = positions.matrix
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     if np.all(np.diag(qp.quad) != 0):
@@ -74,7 +73,7 @@ def solve_qp(qp: QuadraticObjective, positions: PositionSet,
         def solve(kkt, rhs):
             return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     dual_tol = _DUAL_TOL * (np.abs(qp.lin).max() + 2.0 * np.abs(qp.quad @ x).max())
-    f = constraints.values(x)
+    f = positions.values(x)
     work = list(np.flatnonzero(f >= -positions.tolerance))
     history = [qp.value(x)]
     status = "max_iters"
@@ -103,7 +102,7 @@ def solve_qp(qp: QuadraticObjective, positions: PositionSet,
             work.append(int(np.flatnonzero(blocking)[j]))
         else:
             x = x + p
-        f = constraints.values(x)
+        f = positions.values(x)
         history.append(qp.value(x))
         if len(work) > k:
             continue

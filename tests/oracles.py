@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from fluidaircomp.model import LinearConstraints
+from fluidaircomp.model import PositionSet
 
 
 def fd_gradient(fun, x, h=1e-6):
@@ -310,9 +310,10 @@ def count_feasible_grid(aperture, min_spacing, resolution, n):
     return total
 
 
-def qp_active_set_reference(quad, lin, constraints: LinearConstraints,
+def qp_active_set_reference(quad, lin, positions: PositionSet,
                             feas_tol=1e-9, dual_tol=1e-9):
-    """Exact minimizer of x^T Q x + c^T x over A x + d <= 0 for PSD Q.
+    """Exact minimizer of x^T Q x + c^T x over the position set's rows
+    A x + d <= 0 for PSD Q.
 
     Enumerates every candidate active set, solves the equality-constrained KKT
     system, and keeps the best primal/dual feasible KKT point. Only sensible
@@ -320,7 +321,7 @@ def qp_active_set_reference(quad, lin, constraints: LinearConstraints,
     """
     quad = np.asarray(quad, dtype=float)
     lin = np.asarray(lin, dtype=float)
-    mat, off = constraints.matrix, constraints.offsets
+    mat, off = positions.matrix, positions.offsets
     m_c, n = mat.shape
     if m_c > 12:
         raise ValueError("too many constraints to enumerate")
@@ -353,10 +354,10 @@ def qp_active_set_reference(quad, lin, constraints: LinearConstraints,
     return best_x
 
 
-def project_reference(v, constraints: LinearConstraints):
+def project_reference(v, positions: PositionSet):
     """Euclidean projection via the active-set QP oracle."""
     v = np.asarray(v, dtype=float)
-    return qp_active_set_reference(np.eye(v.size), -2.0 * v, constraints)
+    return qp_active_set_reference(np.eye(v.size), -2.0 * v, positions)
 
 
 def project_feasible_numpy(v, aperture, min_spacing):

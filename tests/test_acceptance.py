@@ -184,14 +184,13 @@ def test_criterion_5_pdip_on_convex_instances():
             n = int(rng.integers(1, 5))
             length = float(rng.uniform(max(1.0, 0.5 * (n - 1) + 0.2), 3 * n))
             positions = PositionSet(n, length, 0.5)
-            cons = positions.constraints
             root = rng.normal(size=(n, n))
             quad = root @ root.T + 0.1 * np.eye(n)
             lin = rng.normal(size=n) * 2.0
             qp = QuadraticObjective(quad, lin)
 
-            report = solve_pdip(qp, cons, positions.interior())
-            ref = qp_active_set_reference(quad, lin, cons)
+            report = solve_pdip(qp, positions, positions.interior())
+            ref = qp_active_set_reference(quad, lin, positions)
             assert report.converged
             assert report.dual_residual <= 1e-8
             assert report.duality_gap <= 1e-8
@@ -209,7 +208,7 @@ def test_criterion_6_projection_exactness():
             v = rng.uniform(-length, 2 * length, n)
             positions = PositionSet(n, length, 0.5)
             proj = project_feasible(v, positions)
-            ref = qp_active_set_reference(np.eye(n), -2.0 * v, positions.constraints)
+            ref = qp_active_set_reference(np.eye(n), -2.0 * v, positions)
             assert np.max(np.abs(proj - ref)) <= 1e-8
             again = project_feasible(proj, positions)
             assert np.max(np.abs(again - proj)) <= 1e-13

@@ -8,7 +8,7 @@ from oracles import (cosine_gradient, cosine_hessian, cosine_value, cross_term,
 from util import random_state, random_weights
 
 from fluidaircomp.apv_objective import ApvObjective, effective_weights
-from fluidaircomp.model import PositionSet, sample_scenario
+from fluidaircomp.model import sample_scenario
 
 
 def _direct_inner(weights, k, x):
@@ -205,40 +205,3 @@ def test_term_bounds():
             total = 2.0 * np.sum(polar(weights)[0][k])
             assert power_term(weights, k, x) >= -1e-9
             assert -total - 1e-9 <= cross_term(weights, k, x) <= total + 1e-9
-
-
-def test_constraints_boundary_contact():
-    cons = PositionSet(2, 2.0, 0.5).constraints
-    assert np.allclose(cons.values(np.array([0.0, 2.0])), [0.0, 0.0, -1.5])
-
-
-def test_constraints_flag_spacing_violation():
-    cons = PositionSet(2, 2.0, 0.5).constraints
-    values = cons.values(np.array([1.0, 1.2]))
-    assert values[2] == pytest.approx(0.3)
-    assert np.any(values > 0)
-
-
-def test_constraints_uniform_grid_feasible():
-    for n in (2, 4, 8):
-        length = float(n)
-        cons = PositionSet(n, length, 0.5).constraints
-        x = np.linspace(0, length, n)
-        values = cons.values(x)
-        assert np.all(values <= 1e-12)
-        assert np.all(values[2:] < 0)  # spacing rows strictly slack
-
-
-def test_constraints_jacobian_shape_and_linearity():
-    rng = np.random.default_rng(2)
-    cons = PositionSet(5, 5.0, 0.5).constraints
-    assert cons.matrix.shape == (6, 5)
-    x, y = rng.normal(size=5), rng.normal(size=5)
-    # affine: f(x+y) - f(x) is linear in y with the constant jacobian
-    assert np.allclose(cons.values(x + y) - cons.values(x), cons.matrix @ y)
-
-
-def test_constraints_single_antenna():
-    cons = PositionSet(1, 2.0, 0.5).constraints
-    assert cons.matrix.shape == (2, 1)
-    assert np.allclose(cons.values(np.array([0.5])), [-0.5, -1.5])

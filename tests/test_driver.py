@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import is_feasible_positions
+from util import warmed_objective
 
 from fluidaircomp.apv_objective import ApvObjective
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
 from fluidaircomp.model import (InfeasibleStartError, PositionSet, Scenario, mse,
                                sample_scenario)
-from fluidaircomp.pdip import SolveReport
+from fluidaircomp.pdip import SolveReport, solve_pdip
+from fluidaircomp.pgd import solve_pgd
 from fluidaircomp.sca import solve_sca
 
 
@@ -236,6 +238,18 @@ def test_each_point_is_steered_once(method, monkeypatch):
     assert len(calls) == len(points)
 
 
+@pytest.mark.parametrize("solve", [solve_pdip, solve_sca, solve_pgd],
+                         ids=["pdip", "sca", "pgd"])
+def test_position_steps_share_one_call(solve):
+    # the driver calls every position step as solve(objective, positions, x),
+    # and its guard reads g at the start from value_history[0]
+    positions, objective, _ = warmed_objective(seed=1, n_antennas=4, n_users=3)
+    x0 = positions.interior()
+    report = solve(objective, positions, x0)
+    assert report.value_history[0] == objective.value(x0)
+    assert np.max(positions.values(report.x)) <= positions.tolerance
+
+
 @pytest.mark.parametrize("accept", [True, False])
 def test_guard_reads_the_solver_report(accept, monkeypatch):
     # the guard compares the reported g at the start and at the returned x;
@@ -243,7 +257,7 @@ def test_guard_reads_the_solver_report(accept, monkeypatch):
     def no_call(*args, **kwargs):
         raise AssertionError("the guard evaluated the objective")
 
-    def solver(objective, constraints, x0):
+    def solver(objective, positions, x0):
         moved = x0 + 1e-3
         return SolveReport(x=moved, status="converged",
                            value_history=[2.0, 1.0 if accept else 3.0])

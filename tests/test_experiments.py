@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fluidaircomp.cli as cli
+import fluidaircomp.experiments as experiments
 from fluidaircomp.cli import cli_main
 from fluidaircomp.driver import METHODS
 from fluidaircomp.experiments import (CSV_HEADER, ExperimentConfig,
@@ -61,7 +62,7 @@ def test_config_rejects_fractional_axis_values(sweep, values):
     dict(values=(-5.0, 4000.0)), dict(values=(-4000.0,)),
     dict(sweep="n", values=(2.0,), snr_db=4000.0), dict(p0=1e308), dict(p0=5e-324),
     dict(max_rounds=0), dict(max_rounds=-1), dict(tol_mse=float("nan")),
-    dict(tol_mse=float("inf")), dict(tol_mse=-1e-6),
+    dict(tol_mse=float("inf")), dict(tol_mse=-1e-6), dict(seed=-1),
 ], ids=["workers-neg", "methods-empty", "methods-dup", "snr-dup", "n-dup",
         "n-0", "k-0", "n-axis-0", "k-axis-neg",
         "snr-nan", "snr-inf", "snr-axis-nan", "snr-axis-neg-inf",
@@ -70,7 +71,8 @@ def test_config_rejects_fractional_axis_values(sweep, values):
         "alpha-min-above-max",
         "snr-axis-overflow", "snr-axis-underflow", "snr-overflow",
         "noise-overflow", "noise-underflow",
-        "max-rounds-0", "max-rounds-neg", "tol-nan", "tol-inf", "tol-neg"])
+        "max-rounds-0", "max-rounds-neg", "tol-nan", "tol-inf", "tol-neg",
+        "seed-neg"])
 def test_config_rejects_bad_sweeps(overrides):
     with pytest.raises(ValueError):
         tiny_config(**overrides)
@@ -84,6 +86,12 @@ def test_cli_rejects_bad_override_before_writing(tmp_path):
     code = cli_main(["run", "--config", str(cfg), "--out", str(out),
                      "--workers", "-3"])
     assert code == 1
+    assert not out.exists()
+
+
+def test_cli_trace_rejects_negative_seed_before_writing(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert cli_main(["trace", "--seed", "-3", "--out", str(out)]) == 1
     assert not out.exists()
 
 
@@ -219,6 +227,33 @@ def test_sweep_parallel_matches_serial(tmp_path):
     run_sweep(tiny_config(workers=1), str(serial))
     run_sweep(tiny_config(workers=2), str(parallel))
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_pool_has_at_most_one_worker_per_cell(monkeypatch, tmp_path):
+    # a forked pool starts all its workers at once, so a two-cell sweep must
+    # not ask for 64 processes; the recording pool maps in this process
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    pooled = tmp_path / "pooled.csv"
+    serial = tmp_path / "serial.csv"
+    run_sweep(tiny_config(values=(-5.0,), methods=("fpa",), workers=64), str(pooled))
+    run_sweep(tiny_config(values=(-5.0,), methods=("fpa",), workers=1), str(serial))
+    assert asked == [2]
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_aggregate_rows_hold_means(tmp_path):

@@ -183,6 +183,44 @@ def test_channel_matrix_matches_per_user():
         assert np.allclose(h[:, k], channel(scenario, k, x))
 
 
+def test_constraints_boundary_contact():
+    positions = PositionSet(2, 2.0, 0.5)
+    assert np.allclose(positions.values(np.array([0.0, 2.0])), [0.0, 0.0, -1.5])
+
+
+def test_constraints_flag_spacing_violation():
+    positions = PositionSet(2, 2.0, 0.5)
+    values = positions.values(np.array([1.0, 1.2]))
+    assert values[2] == pytest.approx(0.3)
+    assert np.any(values > 0)
+
+
+def test_constraints_uniform_grid_feasible():
+    for n in (2, 4, 8):
+        length = float(n)
+        positions = PositionSet(n, length, 0.5)
+        x = np.linspace(0, length, n)
+        values = positions.values(x)
+        assert np.all(values <= 1e-12)
+        assert np.all(values[2:] < 0)  # spacing rows strictly slack
+
+
+def test_constraints_jacobian_shape_and_linearity():
+    rng = np.random.default_rng(2)
+    positions = PositionSet(5, 5.0, 0.5)
+    assert positions.matrix.shape == (6, 5)
+    x, y = rng.normal(size=5), rng.normal(size=5)
+    # affine: f(x+y) - f(x) is linear in y with the constant jacobian
+    assert np.allclose(positions.values(x + y) - positions.values(x),
+                       positions.matrix @ y)
+
+
+def test_constraints_single_antenna():
+    positions = PositionSet(1, 2.0, 0.5)
+    assert positions.matrix.shape == (2, 1)
+    assert np.allclose(positions.values(np.array([0.5])), [-0.5, -1.5])
+
+
 def test_position_feasibility_helpers():
     assert is_feasible_positions(np.array([0.0, 0.5, 2.0]), 2.0, 0.5)
     assert not is_feasible_positions(np.array([0.0, 0.3]), 2.0, 0.5)

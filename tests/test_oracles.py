@@ -65,7 +65,7 @@ def test_grid_search_constant_objective_returns_first_point():
 def test_grid_search_sandwich_with_pdip():
     positions, objective, _ = warmed_objective(seed=8, n_antennas=2, n_users=2)
     x0 = positions.interior()
-    report = solve_pdip(objective, positions.constraints, x0)
+    report = solve_pdip(objective, positions, x0)
     resolution = 0.01
     _, g_best = grid_search_apv(objective, positions.aperture,
                                 positions.min_spacing, resolution)
@@ -87,8 +87,7 @@ def test_qp_reference_unconstrained_interior():
     quad = root @ root.T + 0.5 * np.eye(3)
     target = np.array([5.0, 10.0, 15.0])  # strictly interior optimum
     lin = -2.0 * quad @ target
-    cons = PositionSet(3, 30.0, 0.5).constraints
-    x = qp_active_set_reference(quad, lin, cons)
+    x = qp_active_set_reference(quad, lin, PositionSet(3, 30.0, 0.5))
     assert np.max(np.abs(x - target)) < 1e-8
     assert np.max(np.abs(2 * quad @ x + lin)) < 1e-7  # zero gradient
 
@@ -98,16 +97,15 @@ def test_qp_reference_agrees_with_pava_projection():
     for _ in range(50):
         v = rng.uniform(-1, 3, 2)
         positions = PositionSet(2, 2.0, 0.5)
-        ref = qp_active_set_reference(np.eye(2), -2 * v, positions.constraints)
+        ref = qp_active_set_reference(np.eye(2), -2 * v, positions)
         assert np.max(np.abs(ref - project_feasible(v, positions))) < 1e-8
 
 
 def test_qp_reference_agrees_with_pdip_on_surrogate_qp():
     positions, objective, x0 = warmed_objective(seed=4, n_antennas=3, n_users=2)
     surrogate = build_surrogate(objective, x0)
-    cons = positions.constraints
-    report = solve_pdip(surrogate, cons, positions.interior())
-    ref = qp_active_set_reference(surrogate.quad, surrogate.lin, cons)
+    report = solve_pdip(surrogate, positions, positions.interior())
+    ref = qp_active_set_reference(surrogate.quad, surrogate.lin, positions)
     assert report.converged
     assert np.max(np.abs(report.x - ref)) < 1e-6
 

@@ -5,23 +5,32 @@ from scipy.optimize import brentq
 from oracles import grid_search_apv, qp_active_set_reference
 from util import warmed_objective
 
-from fluidaircomp.model import LinearConstraints, PositionSet
+from fluidaircomp.model import PositionSet
 from fluidaircomp.pdip import (InfeasibleStartError, QuadraticObjective,
                                SingularKktError, newton_step, residuals,
                                solve_pdip)
 
 
-def unit_box(n=1):
-    """0 <= x <= 1 in the f(x) = Ax + d <= 0 convention."""
-    mat = np.vstack([-np.eye(n), np.eye(n)])
-    off = np.concatenate([np.zeros(n), -np.ones(n)])
-    return LinearConstraints(matrix=mat, offsets=off)
+def unit_box():
+    """The 1-D set 0 <= x <= 1: rows -x <= 0 and x - 1 <= 0."""
+    return PositionSet(1, 1.0, 0.0)
 
 
-def step_at(objective, constraints, x, nu, delta):
+class Box2:
+    """The 2-D box 0 <= x <= 1 in the f(x) = matrix @ x + offsets <= 0
+    convention; pdip reads only matrix and values(x)."""
+
+    matrix = np.vstack([-np.eye(2), np.eye(2)])
+    offsets = np.array([0.0, 0.0, -1.0, -1.0])
+
+    def values(self, x):
+        return self.matrix @ x + self.offsets
+
+
+def step_at(objective, positions, x, nu, delta):
     """newton_step at (x, nu) with the residuals for barrier parameter delta."""
-    return newton_step(objective, constraints, x, nu,
-                       *residuals(objective, constraints, x, nu, delta))
+    return newton_step(objective, positions, x, nu,
+                       *residuals(objective, positions, x, nu, delta))
 
 
 def central_path_point_1d(target, delta):
@@ -65,7 +74,7 @@ def test_residuals_vanish_on_central_path():
 def test_residual_centrality_inverse_identity():
     rng = np.random.default_rng(0)
     obj = QuadraticObjective(np.eye(2), np.zeros(2))
-    cons = unit_box(2)
+    cons = Box2()
     x = rng.uniform(0.1, 0.9, 2)
     delta = 3.0
     f = cons.values(x)
@@ -110,7 +119,7 @@ def test_newton_step_escalates_damping_to_descent_direction():
         def hessian(self, x):
             return np.diag([1.0, -1.0])
 
-    cons = unit_box(2)
+    cons = Box2()
     x = np.array([0.4, 0.5])
     f = cons.values(x)
     # nu tuned so that nu2/(-f2) + nu4/(-f4) == 1 for the x2 coordinate
@@ -181,13 +190,12 @@ def test_solve_matches_active_set_reference_on_position_qps():
     for _ in range(25):
         n = int(rng.integers(1, 5))
         positions = PositionSet(n, float(n), 0.5)
-        cons = positions.constraints
         root = rng.normal(size=(n, n))
         quad = root @ root.T + 0.1 * np.eye(n)
         lin = rng.normal(size=n)
         obj = QuadraticObjective(quad, lin)
-        report = solve_pdip(obj, cons, positions.interior())
-        ref = qp_active_set_reference(quad, lin, cons)
+        report = solve_pdip(obj, positions, positions.interior())
+        ref = qp_active_set_reference(quad, lin, positions)
         assert report.converged
         assert np.max(np.abs(report.x - ref)) < 1e-6
         assert report.value == pytest.approx(obj.value(ref), abs=1e-6)
@@ -197,7 +205,6 @@ def test_solve_strict_feasibility_along_the_run():
     # the solver must only ever evaluate the oracle at strictly feasible
     # points; a recording wrapper observes every query
     positions, objective, _ = warmed_objective(seed=5, n_antennas=4, n_users=3)
-    cons = positions.constraints
     seen = []
 
     class Spy:
@@ -213,11 +220,11 @@ def test_solve_strict_feasibility_along_the_run():
             seen.append(x.copy())
             return objective.hessian(x)
 
-    report = solve_pdip(Spy(), cons, positions.interior())
-    assert np.max(cons.values(report.x)) < 0
+    report = solve_pdip(Spy(), positions, positions.interior())
+    assert np.max(positions.values(report.x)) < 0
     assert report.status in ("converged", "max_iters", "line_search_stall")
     assert seen
-    assert all(np.max(cons.values(x)) < 0 for x in seen)
+    assert all(np.max(positions.values(x)) < 0 for x in seen)
 
 
 def test_solve_evaluates_each_point_once(monkeypatch):
@@ -239,7 +246,7 @@ def test_solve_evaluates_each_point_once(monkeypatch):
         def hessian(self, x):
             return objective.hessian(x)
 
-    class SpyConstraints(LinearConstraints):
+    class SpyConstraints(PositionSet):
         def values(self, x):
             f = super().values(x)
             if np.max(f) < 0:
@@ -253,7 +260,7 @@ def test_solve_evaluates_each_point_once(monkeypatch):
         return residuals(*args)
 
     monkeypatch.setattr("fluidaircomp.pdip.residuals", counted_residuals)
-    cons = SpyConstraints(positions.constraints.matrix, positions.constraints.offsets)
+    cons = SpyConstraints(positions.n_antennas, positions.aperture, positions.min_spacing)
     report = solve_pdip(Counting(), cons, positions.interior())
     assert len(residual_calls) > report.iterations + 1
     assert len(gradient_points) == len(set(gradient_points))
@@ -264,8 +271,8 @@ def test_solve_evaluates_each_point_once(monkeypatch):
 def test_solve_deterministic():
     positions, objective, _ = warmed_objective(seed=6, n_antennas=5, n_users=4)
     x0 = positions.interior()
-    a = solve_pdip(objective, positions.constraints, x0)
-    b = solve_pdip(objective, positions.constraints, x0)
+    a = solve_pdip(objective, positions, x0)
+    b = solve_pdip(objective, positions, x0)
     assert np.array_equal(a.x, b.x)
     assert a.value_history == b.value_history
 
@@ -275,7 +282,7 @@ def test_solve_apv_instance_reaches_grid_optimum():
     # global basin; the dense grid bounds the optimum from above
     positions, objective, _ = warmed_objective(seed=3, n_antennas=3, n_users=2)
     x0 = positions.interior()
-    report = solve_pdip(objective, positions.constraints, x0)
+    report = solve_pdip(objective, positions, x0)
     resolution = 0.015
     _, g_best = grid_search_apv(objective, positions.aperture,
                                 positions.min_spacing, resolution)

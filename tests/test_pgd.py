@@ -41,7 +41,7 @@ def test_projection_identity_on_feasible_points():
 def test_projection_two_antenna_kkt_case():
     positions = PositionSet(2, 2.0, 0.5)
     out = project_feasible(np.array([0.2, 0.1]), positions)
-    ref = project_reference(np.array([0.2, 0.1]), positions.constraints)
+    ref = project_reference(np.array([0.2, 0.1]), positions)
     assert np.max(np.abs(out - ref)) < 1e-8
 
 
@@ -49,7 +49,7 @@ def test_projection_equal_inputs_spread_into_chain():
     positions = PositionSet(3, 5.0, 0.5)
     v = np.full(3, 2.0)
     out = project_feasible(v, positions)
-    ref = project_reference(v, positions.constraints)
+    ref = project_reference(v, positions)
     assert np.max(np.abs(out - ref)) < 1e-8
     assert np.allclose(out, [1.5, 2.0, 2.5])  # shifted chain, interior case
 
@@ -62,7 +62,7 @@ def test_projection_matches_active_set_oracle():
         positions = PositionSet(n, length, 0.5)
         v = rng.uniform(-length, 2 * length, n)
         out = project_feasible(v, positions)
-        ref = project_reference(v, positions.constraints)
+        ref = project_reference(v, positions)
         assert np.max(np.abs(out - ref)) < 1e-8
 
 
@@ -116,7 +116,7 @@ def test_solve_accepts_projected_starts(n):
     for _ in range(1000):
         p = project_feasible(rng.uniform(-2, n + 2, n), positions)
         positions.check(p)
-        violation = float(np.max(positions.constraints.values(p)))
+        violation = float(np.max(positions.values(p)))
         if violation > worst_violation:
             worst, worst_violation = p, violation
     report = solve_pgd(obj, positions, worst)
@@ -143,7 +143,7 @@ def test_solve_monotone_and_feasible():
         report = solve_pgd(objective, positions, x0)
         history = np.asarray(report.value_history)
         assert np.all(np.diff(history) <= 1e-12)
-        assert np.max(positions.constraints.values(report.x)) <= 1e-9
+        assert np.max(positions.values(report.x)) <= 1e-9
         if report.converged:
             # near-stationary at the returned point: the full _STEP0
             # projected gradient step moves x by at most _TOL_X

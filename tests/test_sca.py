@@ -120,17 +120,16 @@ def assert_kkt_certificate(qp, positions, x):
     """x minimizes the convex qp over the position constraints: it is feasible
     and nonnegative multipliers on the constraints it touches make the
     Lagrangian stationary, with lam_i f_i(x) = 0."""
-    constraints = positions.constraints
-    f = constraints.values(x)
+    f = positions.values(x)
     assert f.max() <= positions.tolerance
     grad = qp.gradient(x)
     scale = np.abs(qp.lin).max() + 2.0 * np.abs(qp.quad @ x).max()
     active = f >= -positions.tolerance
-    lam = np.zeros(constraints.n_constraints)
+    lam = np.zeros(f.size)
     if active.any():
-        lam[active] = nnls(constraints.matrix[active].T, -grad)[0]
+        lam[active] = nnls(positions.matrix[active].T, -grad)[0]
     assert lam.min() >= 0.0
-    assert np.max(np.abs(grad + constraints.matrix.T @ lam)) <= 1e-8 * scale
+    assert np.max(np.abs(grad + positions.matrix.T @ lam)) <= 1e-8 * scale
     assert np.max(np.abs(lam * f)) <= 1e-8 * scale
 
 
@@ -155,7 +154,7 @@ def test_qp_solve_is_certified_optimal():
             again = solve_qp(qp, positions, report.x)
             assert again.converged and again.iterations == 1
             assert np.max(np.abs(again.x - report.x)) <= 1e-12
-            reference = solve_pdip(qp, positions.constraints, nudge(positions, anchor))
+            reference = solve_pdip(qp, positions, nudge(positions, anchor))
             assert reference.converged
             assert qp.value(report.x) <= reference.value + 1e-8
 
@@ -184,7 +183,7 @@ def test_solve_monotone_true_objective():
             x = report.x
             history.append(report.value)
         assert np.all(np.diff(history) <= 1e-12)
-        assert np.max(positions.constraints.values(x)) <= 1e-12
+        assert np.max(positions.values(x)) <= 1e-12
 
 
 def test_solve_descends_from_boundary_start():
