@@ -223,10 +223,10 @@ class PositionSet:
         return self.matrix @ np.asarray(x, dtype=float) + self.offsets
 
     def check(self, x0: np.ndarray) -> np.ndarray:
-        """x0 as a float copy; raises InfeasibleStartError unless it is
-        feasible up to the tolerance, which projected points may need."""
+        """x0 as a float copy; raises InfeasibleStartError unless it is finite
+        and feasible up to the tolerance, which projected points may need."""
         x = np.asarray(x0, dtype=float).copy()
-        if np.max(self.values(x)) > self.tolerance:
+        if not (np.all(np.isfinite(x)) and np.all(self.values(x) <= self.tolerance)):
             raise InfeasibleStartError("x0 violates the position constraints")
         return x
 

@@ -2,10 +2,10 @@
 
 The objective is supplied as an oracle exposing value(x), gradient(x), and
 hessian(x); the constraints are the affine rows f(x) = matrix @ x + offsets
-<= 0 of a PositionSet, of which only matrix and values(x) are read. The solver
-runs the non-convex antenna-position problem, whose Hessian may be indefinite
-(hence the damping in newton_step). The iteration is the primal-dual method of
-Boyd & Vandenberghe, Convex Optimization, section 11.7.
+<= 0 of a PositionSet, of which only matrix, values(x) and check(x0) are
+read. The solver runs the non-convex antenna-position problem, whose Hessian
+may be indefinite (hence the damping in newton_step). The iteration is the
+primal-dual method of Boyd & Vandenberghe, Convex Optimization, section 11.7.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def residuals(objective, positions: PositionSet, x: np.ndarray,
               nu: np.ndarray, delta: float):
     """Dual residual grad g + Df^T nu and centrality residual -diag(nu) f - 1/delta."""
     f = positions.values(x)
-    if np.max(f) >= 0:
+    if not np.all(f < 0):
         raise InfeasibleStartError("residuals require a strictly feasible point")
     grad = objective.gradient(x)
     if not np.all(np.isfinite(grad)):
@@ -142,9 +142,9 @@ def solve_pdip(objective, positions: PositionSet, x0: np.ndarray) -> SolveReport
     residuals (and so the gradient) are evaluated once at x0 and once at each
     strictly feasible trial point; an accepted trial point's are reused.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = positions.check(x0)
     f = positions.values(x)
-    if np.max(f) >= 0:
+    if not np.all(f < 0):
         raise InfeasibleStartError("x0 must satisfy f(x0) < 0 strictly")
     nu = -1.0 / f
     m_c = f.size
@@ -176,7 +176,7 @@ def solve_pdip(objective, positions: PositionSet, x0: np.ndarray) -> SolveReport
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + gamma * dx
             f_try = positions.values(x_try)
-            if np.max(f_try) < 0:
+            if np.all(f_try < 0):
                 nu_try = nu + gamma * dnu
                 r_dual_try, r_cent_try = residuals(objective, positions,
                                                    x_try, nu_try, delta)

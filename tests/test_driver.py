@@ -250,6 +250,22 @@ def test_position_steps_share_one_call(solve):
     assert np.max(positions.values(report.x)) <= positions.tolerance
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("solve", [solve_pdip, solve_sca, solve_pgd],
+                         ids=["pdip", "sca", "pgd"])
+def test_position_steps_reject_non_finite_starts(solve, slot, bad):
+    # a NaN compares False against every bound, so only an explicit finiteness
+    # test keeps it (and inf, without a warning from the constraint rows) out
+    positions, objective, _ = warmed_objective(seed=0, n_antennas=3, n_users=2)
+    x0 = positions.interior()
+    x0[slot] = bad
+    with pytest.raises(InfeasibleStartError):
+        positions.check(x0)
+    with pytest.raises(InfeasibleStartError):
+        solve(objective, positions, x0)
+
+
 @pytest.mark.parametrize("accept", [True, False])
 def test_guard_reads_the_solver_report(accept, monkeypatch):
     # the guard compares the reported g at the start and at the returned x;

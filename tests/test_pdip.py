@@ -18,7 +18,7 @@ def unit_box():
 
 class Box2:
     """The 2-D box 0 <= x <= 1 in the f(x) = matrix @ x + offsets <= 0
-    convention; pdip reads only matrix and values(x)."""
+    convention; residuals and newton_step read only matrix and values(x)."""
 
     matrix = np.vstack([-np.eye(2), np.eye(2)])
     offsets = np.array([0.0, 0.0, -1.0, -1.0])
