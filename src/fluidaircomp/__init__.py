@@ -4,11 +4,11 @@ from .apv_objective import ApvObjective, effective_weights
 from .closed_form import update_b, update_m
 from .driver import METHODS, AoOptions, AoReport, ao_optimize
 from .experiments import ExperimentConfig, parse_config, run_sweep
-from .model import (PositionSet, Scenario, TransceiverState, channel_matrix, mse,
-                    sample_scenario, steering)
-from .pdip import QuadraticObjective, SolveReport, solve_pdip
+from .model import (PositionSet, Scenario, SolveReport, TransceiverState, channel_matrix,
+                    mse, sample_scenario, steering)
+from .pdip import solve_pdip
 from .pgd import project_feasible, solve_pgd
-from .sca import build_surrogate, solve_sca
+from .sca import QuadraticObjective, build_surrogate, solve_sca
 
 __all__ = [
     "ApvObjective", "effective_weights", "update_b", "update_m",

@@ -52,14 +52,6 @@ class ApvObjective:
     spatial_freqs: np.ndarray
     _last: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def n_users(self) -> int:
-        return self.coefficients.shape[0]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.coefficients.shape[1]
-
     def steered(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Steered weights v[..., k, n] and their sums u[..., k] = m^H h_k(x) b_k
         for positions x of shape (..., N)."""

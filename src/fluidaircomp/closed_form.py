@@ -1,34 +1,35 @@
-"""Closed-form coordinate updates for the transmit coefficients and the decoder."""
+"""Closed-form coordinate updates for the transmit coefficients and the decoder.
+
+Both take the (N, K) channel matrix h, whose k-th column is user k's channel
+at the current positions.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .model import Scenario, channel_matrix
 
 # Below this magnitude of m^H h_k the b subproblem is degenerate (any feasible
 # b_k is optimal); we return 0 deterministically.
 ZERO_CHANNEL_TOL = 1e-12
 
 
-def update_b(m: np.ndarray, scenario: Scenario, x: np.ndarray) -> np.ndarray:
+def update_b(m: np.ndarray, h: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Per-user b update; the users decouple, so each solves its own scalar QCQP.
 
     The multiplier max(|c|/sqrt(P) - |c|^2, 0) with c = m^H h_k either leaves
     the unconstrained inverse 1/c untouched or scales it back onto the power
     sphere.
     """
-    h = channel_matrix(scenario, x)
     c = m.conj() @ h  # m^H h_k per user
     mag = np.abs(c)
-    mu = np.maximum(mag / np.sqrt(scenario.powers) - mag**2, 0.0)
+    mu = np.maximum(mag / np.sqrt(powers) - mag**2, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         b = np.conj(c) / (mag**2 + mu)
     b[mag < ZERO_CHANNEL_TOL] = 0j
     return b
 
 
-def update_m(b: np.ndarray, scenario: Scenario, x: np.ndarray) -> np.ndarray:
+def update_m(b: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:
     """Least-squares decoder (sigma2*I + W W^H)^-1 W 1, W's columns b_k h_k.
 
     The normal-equation matrix has condition number kappa <= 1 + ||W||_F^2 /
@@ -40,14 +41,13 @@ def update_m(b: np.ndarray, scenario: Scenario, x: np.ndarray) -> np.ndarray:
     keeps the digits the MSE needs (sample_scenario(10, 2, 130.0, seed=0)
     takes this branch).
     """
-    if scenario.sigma2 <= 0:
+    if sigma2 <= 0:
         raise ValueError("decoder update requires positive noise power")
-    h = channel_matrix(scenario, x)
-    n = scenario.n_antennas
+    n = h.shape[0]
     weighted = h * b[None, :]  # columns b_k h_k
     gram = weighted @ weighted.conj().T
-    if scenario.sigma2 > np.sqrt(np.finfo(float).eps) * gram.trace().real:
-        return np.linalg.solve(gram + scenario.sigma2 * np.eye(n), weighted.sum(axis=1))
-    stacked = np.vstack([weighted.conj().T, np.sqrt(scenario.sigma2) * np.eye(n)])
+    if sigma2 > np.sqrt(np.finfo(float).eps) * gram.trace().real:
+        return np.linalg.solve(gram + sigma2 * np.eye(n), weighted.sum(axis=1))
+    stacked = np.vstack([weighted.conj().T, np.sqrt(sigma2) * np.eye(n)])
     target = np.concatenate([np.ones(b.size), np.zeros(n)])
     return np.linalg.lstsq(stacked, target, rcond=None)[0]

@@ -3,7 +3,9 @@
 Each round updates m (least squares), then b (per-user KKT), then the antenna
 positions with the selected solver. The closed-form updates are exact
 minimizers of their subproblems and the position step is guarded, so the MSE
-sequence is non-increasing by construction for every method.
+sequence is non-increasing by construction for every method. Only the
+position step moves x, so the driver forms the channel matrix H once per
+distinct x (once per solve for fpa) and hands it to the m, b and MSE layers.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .apv_objective import effective_weights
 from .closed_form import update_b, update_m
-from .model import InfeasibleStartError, Scenario, TransceiverState, mse
+from .model import InfeasibleStartError, Scenario, TransceiverState, channel_matrix, mse
 from .pdip import solve_pdip
 from .pgd import solve_pgd
 from .sca import solve_sca
@@ -24,7 +26,7 @@ from .sca import solve_sca
 METHODS = ("pdip", "sca", "pgd", "fpa")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AoOptions:
     """method is one of pdip | sca | pgd | fpa; tol_mse is the relative
     MSE-decrease stopping threshold."""
@@ -52,7 +54,6 @@ class AoReport:
     state: TransceiverState
     status: str
     seconds: float
-    method: str
     seed: int | None
     inner_iterations: list
 
@@ -86,14 +87,15 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
     b = np.sqrt(scenario.powers).astype(complex)
     m = np.zeros(scenario.n_antennas, dtype=complex)
 
-    mse_cur = mse(b, m, scenario, x)
+    h = channel_matrix(scenario, x)
+    mse_cur = mse(b, m, h, scenario.sigma2)
     history = [mse_cur]
     inner_iters: list[int] = []
     status = "max_rounds"
 
     for t in range(1, opts.max_rounds + 1):
-        m = update_m(b, scenario, x)
-        b = update_b(m, scenario, x)
+        m = update_m(b, h, scenario.sigma2)
+        b = update_b(m, h, scenario.powers)
 
         if solve is not None:
             objective = effective_weights(b, m, scenario)
@@ -101,17 +103,18 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
                 inner = solve(objective, positions, x)
             except InfeasibleStartError:
                 status = f"position_solver_failed_round_{t}"
-                mse_cur = mse(b, m, scenario, x)
+                mse_cur = mse(b, m, h, scenario.sigma2)
                 history.append(mse_cur)
                 break
             inner_iters.append(inner.iterations)
             # accept the new positions only if they do not increase the MSE;
             # every solver reports g = MSE - sigma2 ||m||^2 at its start and
-            # at the x it returns
-            if inner.value <= inner.value_history[0]:
+            # at the x it returns. A step that returns its start keeps H.
+            if inner.value <= inner.value_history[0] and not np.array_equal(inner.x, x):
                 x = inner.x
+                h = channel_matrix(scenario, x)
 
-        mse_new = mse(b, m, scenario, x)
+        mse_new = mse(b, m, h, scenario.sigma2)
         history.append(mse_new)
         rel_drop = (mse_cur - mse_new) / max(abs(mse_cur), 1e-300)
         mse_cur = mse_new
@@ -125,7 +128,6 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
         state=state,
         status=status,
         seconds=time.perf_counter() - t_start,
-        method=opts.method,
         seed=seed,
         inner_iterations=inner_iters,
     )

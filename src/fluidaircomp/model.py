@@ -1,4 +1,5 @@
-"""Core system model: scenarios, the steering kernel, LoS channels, and the exact MSE.
+"""Core system model: scenarios, the steering kernel, LoS channels, the exact MSE,
+and the report every position step returns.
 
 All positions and lengths are expressed in wavelength units, so the carrier
 wavelength never appears as a separate parameter.
@@ -85,6 +86,32 @@ class TransceiverState:
     mse: float
 
 
+@dataclass
+class SolveReport:
+    """Outcome of one position step (solve_pdip, solve_sca or solve_pgd).
+
+    value_history[0] is g at the start and value_history[-1] g at x; each
+    iteration appends one entry."""
+
+    x: np.ndarray
+    status: str
+    value_history: list
+    dual_residual: float = float("nan")
+    duality_gap: float = float("nan")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.value_history) - 1
+
+    @property
+    def value(self) -> float:
+        return self.value_history[-1]
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
+
+
 def steering(x: np.ndarray, spatial_freqs: np.ndarray) -> np.ndarray:
     """exp(j*x_n*phi_k) of shape (..., N, K) for positions x of shape (..., N)
     and spatial frequencies phi of shape (K,); the library's one complex
@@ -101,17 +128,18 @@ def channel_matrix(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     return scenario.alphas * steering(x, scenario.spatial_freqs)
 
 
-def mse(b: np.ndarray, m: np.ndarray, scenario: Scenario, x: np.ndarray) -> float:
-    """Exact aggregation error: sum_k |m^H h_k b_k - 1|^2 + sigma2 * ||m||^2."""
+def mse(b: np.ndarray, m: np.ndarray, h: np.ndarray, sigma2: float) -> float:
+    """Exact aggregation error sum_k |m^H h_k b_k - 1|^2 + sigma2 * ||m||^2
+    over the (N, K) channel matrix h."""
     b = np.asarray(b)
     m = np.asarray(m)
-    if b.shape != (scenario.n_users,):
+    n, k = h.shape
+    if b.shape != (k,):
         raise ValueError("b has wrong length")
-    if m.shape != (scenario.n_antennas,):
+    if m.shape != (n,):
         raise ValueError("m has wrong length")
-    h = channel_matrix(scenario, x)
     residual = (m.conj() @ h) * b - 1.0
-    return float(np.sum(np.abs(residual) ** 2) + scenario.sigma2 * np.sum(np.abs(m) ** 2))
+    return float(np.sum(np.abs(residual) ** 2) + sigma2 * np.sum(np.abs(m) ** 2))
 
 
 def noise_power(p0: float, snr_db: float) -> float:

@@ -10,11 +10,9 @@ primal-dual method of Boyd & Vandenberghe, Convex Optimization, section 11.7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import InfeasibleStartError, PositionSet
+from .model import InfeasibleStartError, PositionSet, SolveReport
 
 # Barrier scaling xi > 1: delta = xi * m / eta.
 _XI = 10.0
@@ -37,50 +35,6 @@ _MAX_DAMPING_ESCALATIONS = 5
 
 class SingularKktError(RuntimeError):
     """Raised when the KKT system stays unsolvable through damping escalation."""
-
-
-@dataclass
-class SolveReport:
-    """Outcome of one solver run (shared by the PDIP, SCA, and PGD drivers).
-
-    value_history[0] is g at the start and value_history[-1] g at x; each
-    iteration appends one entry."""
-
-    x: np.ndarray
-    status: str
-    value_history: list
-    dual_residual: float = float("nan")
-    duality_gap: float = float("nan")
-
-    @property
-    def iterations(self) -> int:
-        return len(self.value_history) - 1
-
-    @property
-    def value(self) -> float:
-        return self.value_history[-1]
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
-
-@dataclass
-class QuadraticObjective:
-    """Oracle for x^T Q x + c^T x + const with symmetric Q."""
-
-    quad: np.ndarray
-    lin: np.ndarray
-    const: float = 0.0
-
-    def value(self, x: np.ndarray) -> float:
-        return float(x @ self.quad @ x + self.lin @ x + self.const)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.quad @ x) + self.lin
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.quad
 
 
 def residuals(objective, positions: PositionSet, x: np.ndarray,

@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .apv_objective import ApvObjective
-from .model import PositionSet
-from .pdip import SolveReport
+from .model import PositionSet, SolveReport
 
 # Armijo backtracking: the ladder starts at the BB2 step, capped at _STEP0
 # (_STEP0 itself on a call's first iteration or when s^T y <= 0), and shrinks

@@ -11,11 +11,12 @@ refreshing the weights.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .apv_objective import ApvObjective
-from .model import PositionSet
-from .pdip import QuadraticObjective, SolveReport
+from .model import PositionSet, SolveReport
 
 # At most this many active-set steps per QP. A step adds a blocking
 # constraint to the working set, drops one, or ends the solve, so a warm
@@ -26,6 +27,24 @@ _MAX_STEPS = 200
 # arithmetic comes out of the KKT solve with their rounding, and dropping its
 # constraint on the sign of that rounding can cycle.
 _DUAL_TOL = 1e-10
+
+
+@dataclass
+class QuadraticObjective:
+    """Oracle for x^T Q x + c^T x + const with symmetric Q."""
+
+    quad: np.ndarray
+    lin: np.ndarray
+    const: float = 0.0
+
+    def value(self, x: np.ndarray) -> float:
+        return float(x @ self.quad @ x + self.lin @ x + self.const)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.quad @ x) + self.lin
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self.quad
 
 
 def build_surrogate(objective: ApvObjective, anchor: np.ndarray) -> QuadraticObjective:

@@ -11,7 +11,8 @@ import numpy as np
 from .apv_objective import effective_weights
 from .closed_form import update_b, update_m
 from .driver import METHODS, AoOptions, ao_optimize
-from .model import InfeasibleStartError, PositionSet, mse, sample_scenario, steering
+from .model import (InfeasibleStartError, PositionSet, channel_matrix, mse, sample_scenario,
+                    steering)
 from .pgd import project_feasible
 from .sca import build_surrogate
 
@@ -42,42 +43,41 @@ def _check_steering(rng):
 
 def _check_mse_phase_invariance(rng):
     scenario = sample_scenario(4, 3, 0.0, seed=int(rng.integers(1 << 31)))
-    x = np.linspace(0, scenario.aperture, 4)
+    h = channel_matrix(scenario, np.linspace(0, scenario.aperture, 4))
     b, m = _random_state(scenario, rng)
-    base = mse(b, m, scenario, x)
+    base = mse(b, m, h, scenario.sigma2)
     psi = np.exp(1j * rng.uniform(0, 2 * np.pi))
-    rotated = mse(b * psi, m * psi, scenario, x)
+    rotated = mse(b * psi, m * psi, h, scenario.sigma2)
     return abs(base - rotated) < 1e-12 * (1 + abs(base)), "common phase rotation"
 
 
 def _check_b_update(rng):
     scenario = sample_scenario(4, 6, -5.0, seed=int(rng.integers(1 << 31)))
-    x = np.linspace(0, scenario.aperture, 4)
+    h = channel_matrix(scenario, np.linspace(0, scenario.aperture, 4))
     _, m = _random_state(scenario, rng)
-    b = update_b(m, scenario, x)
+    b = update_b(m, h, scenario.powers)
     feasible = np.all(np.abs(b) ** 2 <= scenario.powers + 1e-12)
-    before = mse(np.sqrt(scenario.powers).astype(complex), m, scenario, x)
-    after = mse(b, m, scenario, x)
+    before = mse(np.sqrt(scenario.powers).astype(complex), m, h, scenario.sigma2)
+    after = mse(b, m, h, scenario.sigma2)
     return feasible and after <= before + 1e-9, "power feasibility and descent"
 
 
 def _check_m_update(rng):
     scenario = sample_scenario(5, 4, 0.0, seed=int(rng.integers(1 << 31)))
-    x = np.linspace(0, scenario.aperture, 5)
+    h = channel_matrix(scenario, np.linspace(0, scenario.aperture, 5))
     b, _ = _random_state(scenario, rng)
-    m_star = update_m(b, scenario, x)
-    base = mse(b, m_star, scenario, x)
+    m_star = update_m(b, h, scenario.sigma2)
+    base = mse(b, m_star, h, scenario.sigma2)
     for _ in range(50):
         delta = rng.normal(size=5) + 1j * rng.normal(size=5)
         delta *= 1e-3 / np.linalg.norm(delta)
-        if mse(b, m_star + delta, scenario, x) < base - 1e-15:
+        if mse(b, m_star + delta, h, scenario.sigma2) < base - 1e-15:
             return False, "perturbation beat the least-squares decoder"
     return True, "local minimality probe"
 
 
 def _check_objective_derivatives(rng):
     scenario = sample_scenario(5, 3, 0.0, seed=int(rng.integers(1 << 31)))
-    x = np.linspace(0, scenario.aperture, 5)
     b, m = _random_state(scenario, rng)
     obj = effective_weights(b, m, scenario)
     point = np.sort(rng.uniform(0, scenario.aperture, 5))

@@ -95,7 +95,7 @@ def cosine_value(weights, x):
     q = s[:, :, None] - s[:, None, :]
     pair = w[:, :, None] * w[:, None, :]
     return float(np.einsum("knl,knl->", pair, np.cos(q)) - 2.0 * np.sum(w * np.cos(s))
-                 + weights.n_users)
+                 + weights.coefficients.shape[0])
 
 
 def cosine_gradient(weights, x):
@@ -166,9 +166,9 @@ def cross_lower_bound(weights, k, anchor):
 def summed_bounds(weights, anchor):
     """Majorant of g(x) = sum_k |w_k^H a(x) - 1|^2 as sum_k (upper P_k - lower C_k + 1),
     returned as (quad, lin, const) of x^T quad x - lin^T x + const."""
-    n = weights.n_antennas
+    n = weights.coefficients.shape[1]
     quad, lin, const = np.zeros((n, n)), np.zeros(n), 0.0
-    for k in range(weights.n_users):
+    for k in range(weights.coefficients.shape[0]):
         a_k, v_k, c_k = power_upper_bound(weights, k, anchor)
         at_k, vt_k, ct_k = cross_lower_bound(weights, k, anchor)
         quad += a_k + at_k
@@ -229,7 +229,7 @@ def grid_search_apv(objective, aperture, min_spacing, resolution, chunk=262144):
 
     Returns (x_best, g_best) at the given grid resolution.
     """
-    n = objective.n_antennas
+    n = objective.coefficients.shape[1]
     if n > 3:
         raise ValueError("grid search only supports N <= 3")
     axis = feasible_grid_axis(aperture, resolution)

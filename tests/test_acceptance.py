@@ -19,10 +19,10 @@ from fluidaircomp.apv_objective import effective_weights
 from fluidaircomp.closed_form import update_m
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
 from fluidaircomp.experiments import ExperimentConfig, run_sweep
-from fluidaircomp.model import PositionSet, mse, sample_scenario
-from fluidaircomp.pdip import QuadraticObjective, solve_pdip
+from fluidaircomp.model import PositionSet, channel_matrix, mse, sample_scenario
+from fluidaircomp.pdip import solve_pdip
 from fluidaircomp.pgd import project_feasible
-from fluidaircomp.sca import build_surrogate
+from fluidaircomp.sca import QuadraticObjective, build_surrogate
 
 MONOTONE_SLACK = 1e-9
 
@@ -93,11 +93,12 @@ def test_criterion_2_m_update_stationarity():
                                        seed=int(rng.integers(1 << 31)))
             x = random_feasible_positions(rng, n, scenario.aperture,
                                           scenario.min_spacing)
+            h = channel_matrix(scenario, x)
             b, m_rand = random_state(rng, scenario)
-            m_star = update_m(b, scenario, x)
+            m_star = update_m(b, h, scenario.sigma2)
 
             def mse_of(vec):
-                return mse(b, vec[:n] + 1j * vec[n:], scenario, x)
+                return mse(b, vec[:n] + 1j * vec[n:], h, scenario.sigma2)
 
             grad_star = fd_gradient(mse_of, np.concatenate([m_star.real, m_star.imag]))
             grad_rand = fd_gradient(mse_of, np.concatenate([m_rand.real, m_rand.imag]))

@@ -162,7 +162,7 @@ def test_zero_weights_flat_objective():
 def test_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     obj = random_weights(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
-    n = obj.n_antennas
+    n = obj.coefficients.shape[1]
     x = rng.uniform(0, n, n)
     grad = obj.gradient(x)
     approx = fd_gradient(obj.value, x, h=1e-6)
@@ -175,7 +175,7 @@ def test_gradient_matches_finite_differences(seed):
 def test_hessian_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     obj = random_weights(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
-    n = obj.n_antennas
+    n = obj.coefficients.shape[1]
     x = rng.uniform(0, n, n)
     hess = obj.hessian(x)
     assert np.allclose(hess, hess.T, atol=1e-12)

@@ -1,5 +1,6 @@
 import hashlib
-from dataclasses import replace
+import sys
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from oracles import is_feasible_positions
 from util import warmed_objective
 
+from fluidaircomp import driver
 from fluidaircomp.apv_objective import ApvObjective
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
-from fluidaircomp.model import (InfeasibleStartError, PositionSet, Scenario, mse,
-                               sample_scenario)
-from fluidaircomp.pdip import SolveReport, solve_pdip
+from fluidaircomp.model import (InfeasibleStartError, PositionSet, Scenario, SolveReport,
+                               channel_matrix, mse, sample_scenario)
+from fluidaircomp.pdip import solve_pdip
 from fluidaircomp.pgd import solve_pgd
 from fluidaircomp.sca import solve_sca
 
@@ -64,7 +66,7 @@ def test_final_state_feasible(method):
     assert np.all(np.abs(state.b) ** 2 <= scenario.powers + 1e-12)
     assert is_feasible_positions(state.x, scenario.aperture, scenario.min_spacing)
     assert state.mse == pytest.approx(
-        mse(state.b, state.m, scenario, state.x), abs=1e-12)
+        mse(state.b, state.m, channel_matrix(scenario, state.x), scenario.sigma2), abs=1e-12)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -107,6 +109,19 @@ def test_options_reject_bad_fields(overrides):
     # a run must not return the untouched start or silently skip its stop rule
     with pytest.raises(ValueError):
         AoOptions(**{"method": "fpa", **overrides})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("method", "pdipp"), ("max_rounds", 0), ("tol_mse", float("nan")),
+], ids=["method", "max-rounds", "tol-mse"])
+def test_options_are_frozen(name, value):
+    # the fields are checked on construction only, so assigning one later
+    # would bypass the checks (an unknown method would silently run fpa)
+    options = AoOptions("pdip", 10)
+    with pytest.raises(FrozenInstanceError):
+        setattr(options, name, value)
+    with pytest.raises(ValueError):
+        replace(options, **{name: value})
 
 
 def test_proposed_beats_fpa_on_average():
@@ -286,3 +301,52 @@ def test_guard_reads_the_solver_report(accept, monkeypatch):
     x0 = scenario.positions.interior()
     assert report.rounds == 1
     assert np.array_equal(report.state.x, x0 + 1e-3 if accept else x0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_channel_matrix_per_distinct_x(method, monkeypatch):
+    # only the position step moves x, so the driver forms H at the start and
+    # again only when a step moves x; the m, b and MSE layers take it as given.
+    # On tight geometry every step returns its start, so H is formed once
+    # (pdip refuses that geometry before forming any)
+    formed, held = [], []
+    form = driver.channel_matrix
+
+    def counted(scenario, x):
+        formed.append(np.array(x))
+        return form(scenario, x)
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("channel_matrix called outside the driver")
+
+    def spy(solve):
+        def step(objective, positions, x0):
+            held.append(np.array(x0))
+            return solve(objective, positions, x0)
+        return step
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fluidaircomp") and getattr(module, "channel_matrix", None) is form:
+            monkeypatch.setattr(module, "channel_matrix", counted if module is driver else no_call)
+    for name in ("solve_pdip", "solve_sca", "solve_pgd"):
+        monkeypatch.setattr(driver, name, spy(getattr(driver, name)))
+    scenario = sample_scenario(4, 6, -5.0, seed=2)
+    for tight in (False, True):
+        formed.clear()
+        held.clear()
+        if tight:
+            scenario = replace(scenario, aperture=3 * scenario.min_spacing)
+        if tight and method == "pdip":
+            with pytest.raises(InfeasibleStartError):
+                ao_optimize(scenario, AoOptions(method=method, max_rounds=8))
+            assert formed == []
+            continue
+        report = ao_optimize(scenario, AoOptions(method=method, max_rounds=8))
+        # the x the driver held, round by round, then the final one
+        held.append(report.state.x)
+        distinct = [x for i, x in enumerate(held)
+                    if i == 0 or not np.array_equal(x, held[i - 1])]
+        assert len(formed) == len(distinct)
+        assert all(np.array_equal(a, b) for a, b in zip(formed, distinct))
+        assert (len(formed) == 1) == (tight or method == "fpa")
+        assert report.rounds > 1

@@ -71,28 +71,33 @@ def test_channel_index_out_of_range():
 
 def test_mse_zero_decoder_counts_users():
     scenario = sample_scenario(3, 5, 0.0, seed=1)
-    x = scenario.positions.uniform()
+    h = channel_matrix(scenario, scenario.positions.uniform())
     b = np.ones(5, dtype=complex)
-    assert mse(b, np.zeros(3, dtype=complex), scenario, x) == pytest.approx(5.0)
+    assert mse(b, np.zeros(3, dtype=complex), h, scenario.sigma2) == pytest.approx(5.0)
 
 
 def test_mse_perfect_alignment_scalar():
     scenario = Scenario(1, [1.0], [np.pi / 2], [1.0], 1e-12, 0.0, 0.0)
-    value = mse(np.array([1.0 + 0j]), np.array([1.0 + 0j]), scenario, np.array([0.0]))
+    h = channel_matrix(scenario, np.array([0.0]))
+    value = mse(np.array([1.0 + 0j]), np.array([1.0 + 0j]), h, scenario.sigma2)
     assert value == pytest.approx(1e-12, abs=1e-15)
 
 
 def test_mse_direct_substitution():
     scenario = Scenario(1, [1.0], [np.pi / 2], [1.0], 1.0, 0.0, 0.0)
-    value = mse(np.array([1.0 + 0j]), np.array([0.5 + 0j]), scenario, np.array([0.0]))
+    h = channel_matrix(scenario, np.array([0.0]))
+    value = mse(np.array([1.0 + 0j]), np.array([0.5 + 0j]), h, scenario.sigma2)
     assert value == pytest.approx(0.5)
 
 
 def test_mse_dimension_mismatch():
+    # h is (N, K) = (2, 3): b must have length K = 3 and m length N = 2
     scenario = sample_scenario(2, 3, 0.0, seed=0)
-    x = scenario.positions.uniform()
-    with pytest.raises(ValueError):
-        mse(np.ones(2, dtype=complex), np.ones(2, dtype=complex), scenario, x)
+    h = channel_matrix(scenario, scenario.positions.uniform())
+    for b_len, m_len in [(2, 2), (3, 3), (2, 3), (4, 2), (3, 1)]:
+        with pytest.raises(ValueError):
+            mse(np.ones(b_len, dtype=complex), np.ones(m_len, dtype=complex), h,
+                scenario.sigma2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,8 +109,10 @@ def test_mse_invariant_under_common_phase(seed, psi):
     b = rng.normal(size=4) + 1j * rng.normal(size=4)
     m = rng.normal(size=3) + 1j * rng.normal(size=3)
     rot = np.exp(1j * psi)
-    base = mse(b, m, scenario, x)
-    assert mse(b * rot, m * rot, scenario, x) == pytest.approx(base, abs=1e-12 * (1 + base))
+    h = channel_matrix(scenario, x)
+    base = mse(b, m, h, scenario.sigma2)
+    rotated = mse(b * rot, m * rot, h, scenario.sigma2)
+    assert rotated == pytest.approx(base, abs=1e-12 * (1 + base))
 
 
 def test_mse_lower_bounded_by_noise_term():
@@ -115,7 +122,8 @@ def test_mse_lower_bounded_by_noise_term():
         x = np.sort(rng.uniform(0, scenario.aperture, 4))
         b, m = (rng.normal(size=6) + 1j * rng.normal(size=6),
                 rng.normal(size=4) + 1j * rng.normal(size=4))
-        assert mse(b, m, scenario, x) >= scenario.sigma2 * np.sum(np.abs(m) ** 2) - 1e-12
+        noise = scenario.sigma2 * np.sum(np.abs(m) ** 2)
+        assert mse(b, m, channel_matrix(scenario, x), scenario.sigma2) >= noise - 1e-12
 
 
 def test_sample_scenario_deterministic():

@@ -6,9 +6,9 @@ from oracles import grid_search_apv, qp_active_set_reference
 from util import warmed_objective
 
 from fluidaircomp.model import PositionSet
-from fluidaircomp.pdip import (InfeasibleStartError, QuadraticObjective,
-                               SingularKktError, newton_step, residuals,
-                               solve_pdip)
+from fluidaircomp.pdip import (InfeasibleStartError, SingularKktError, newton_step,
+                               residuals, solve_pdip)
+from fluidaircomp.sca import QuadraticObjective
 
 
 def unit_box():

@@ -8,8 +8,8 @@ from util import random_feasible_positions, random_weights, warmed_objective
 
 import fluidaircomp.sca
 from fluidaircomp.apv_objective import ApvObjective
-from fluidaircomp.model import PositionSet
-from fluidaircomp.pdip import SolveReport, solve_pdip
+from fluidaircomp.model import PositionSet, SolveReport
+from fluidaircomp.pdip import solve_pdip
 from fluidaircomp.sca import build_surrogate, solve_qp, solve_sca
 
 
@@ -34,7 +34,7 @@ def test_power_bound_tight_and_majorizing():
         n = int(rng.integers(1, 6))
         weights = random_weights(rng, int(rng.integers(1, 4)), n)
         anchor = rng.uniform(0, n, n)
-        for k in range(weights.n_users):
+        for k in range(weights.coefficients.shape[0]):
             quad, lin, const = power_upper_bound(weights, k, anchor)
             at_anchor = quad_eval(quad, lin, const, anchor)
             assert at_anchor == pytest.approx(power_term(weights, k, anchor),
@@ -50,7 +50,7 @@ def test_cross_bound_tight_and_minorizing():
         n = int(rng.integers(1, 6))
         weights = random_weights(rng, int(rng.integers(1, 4)), n)
         anchor = rng.uniform(0, n, n)
-        for k in range(weights.n_users):
+        for k in range(weights.coefficients.shape[0]):
             quad, lin, const = cross_lower_bound(weights, k, anchor)
             bound_at = float(-anchor @ quad @ anchor + 2 * lin @ anchor + 2 * const)
             assert bound_at == pytest.approx(cross_term(weights, k, anchor),

@@ -6,7 +6,7 @@ import numpy as np
 
 from fluidaircomp.apv_objective import ApvObjective, effective_weights
 from fluidaircomp.closed_form import update_b, update_m
-from fluidaircomp.model import Scenario, sample_scenario
+from fluidaircomp.model import Scenario, channel_matrix, sample_scenario
 
 
 def random_weights(rng, n_users, n_antennas, zero_frac=0.0) -> ApvObjective:
@@ -40,8 +40,9 @@ def warmed_objective(seed, n_antennas, n_users, snr_db=-5.0, rounds=2):
     with the weight magnitudes an AO run would actually see."""
     scenario = sample_scenario(n_antennas, n_users, snr_db, seed=seed)
     x = np.linspace(0.0, scenario.aperture, n_antennas)
+    h = channel_matrix(scenario, x)
     b = np.sqrt(scenario.powers).astype(complex)
     for _ in range(rounds):
-        m = update_m(b, scenario, x)
-        b = update_b(m, scenario, x)
+        m = update_m(b, h, scenario.sigma2)
+        b = update_b(m, h, scenario.powers)
     return scenario.positions, effective_weights(b, m, scenario), x
