@@ -5,7 +5,10 @@ hessian(x); the constraints are the affine rows f(x) = matrix @ x + offsets
 <= 0 of a PositionSet, of which only matrix, values(x) and check(x0) are
 read. The solver runs the non-convex antenna-position problem, whose Hessian
 may be indefinite (hence the damping in newton_step). The iteration is the
-primal-dual method of Boyd & Vandenberghe, Convex Optimization, section 11.7.
+primal-dual method of Boyd & Vandenberghe, Convex Optimization, section 11.7,
+warm started with a cold-start fallback as in Yildirim & Wright, "Warm-start
+strategies in interior-point methods for linear programming", SIAM J. Optim.
+12(3), 2002.
 """
 
 from __future__ import annotations
@@ -37,16 +40,20 @@ class SingularKktError(RuntimeError):
     """Raised when the KKT system stays unsolvable through damping escalation."""
 
 
+def _gradient(objective, x: np.ndarray) -> np.ndarray:
+    grad = objective.gradient(x)
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("objective gradient is not finite")
+    return grad
+
+
 def residuals(objective, positions: PositionSet, x: np.ndarray,
               nu: np.ndarray, delta: float):
     """Dual residual grad g + Df^T nu and centrality residual -diag(nu) f - 1/delta."""
     f = positions.values(x)
     if not np.all(f < 0):
         raise InfeasibleStartError("residuals require a strictly feasible point")
-    grad = objective.gradient(x)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("objective gradient is not finite")
-    r_dual = grad + positions.matrix.T @ nu
+    r_dual = _gradient(objective, x) + positions.matrix.T @ nu
     r_cent = -nu * f - 1.0 / delta
     return r_dual, r_cent
 
@@ -88,30 +95,60 @@ def newton_step(objective, positions: PositionSet, x: np.ndarray,
 def solve_pdip(objective, positions: PositionSet, x0: np.ndarray) -> SolveReport:
     """Run the interior-point iteration from a strictly feasible x0.
 
+    The first multipliers are those of the central path through x0, nu0 =
+    mu / (-f(x0)), with mu the least-squares fit of stationarity along that
+    ray, clamped to [_EPS / m, 1], so a start near a KKT point, such as the
+    last round's x, begins with a small gap. This warm attempt gets the cold
+    schedule's own length, ceil(log_xi(m / _EPS)) Newton steps; if it does not
+    converge, the call reruns the cold start mu = 1 from x0, which is also
+    taken directly when the fit gives mu = 1 or Df^T (1/(-f)) = 0. A call that
+    falls back reports both runs: its value_history is the warm attempt's
+    values followed by the cold run's after x0.
+
     Every accepted iterate keeps f(x) < 0 and nu > 0; the line search first
     caps the step to preserve nu > 0, then backtracks into feasibility, then
     backtracks until the KKT residual norm has decreased. Success means the
     dual residual and the surrogate duality gap eta = -f(x)^T nu are below
     their tolerances; anything else is reported in the status field. The
-    residuals (and so the gradient) are evaluated once at x0 and once at each
-    strictly feasible trial point; an accepted trial point's are reused.
+    gradient is taken once at x0, and the residuals once at each strictly
+    feasible trial point; an accepted trial point's are reused.
     """
     x = positions.check(x0)
     f = positions.values(x)
     if not np.all(f < 0):
         raise InfeasibleStartError("x0 must satisfy f(x0) < 0 strictly")
-    nu = -1.0 / f
+    grad = _gradient(objective, x)
+    history = [objective.value(x)]
+    m_c = f.size
+    d = positions.matrix.T @ (1.0 / -f)
+    d_sq = float(d @ d)
+    mu = 1.0 if d_sq == 0.0 else min(1.0, max(_EPS / m_c, -float(grad @ d) / d_sq))
+    if mu < 1.0:
+        budget = int(np.ceil(np.log(m_c / _EPS) / np.log(_XI)))
+        warm = _newton_loop(objective, positions, x, f, grad, mu, budget, history)
+        if warm.converged:
+            return warm
+    return _newton_loop(objective, positions, x, f, grad, 1.0, _MAX_ITERS, history)
+
+
+def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
+                 f: np.ndarray, grad: np.ndarray, mu: float, budget: int,
+                 history: list) -> SolveReport:
+    """At most budget Newton steps from (x, mu / (-f)), given f = f(x) and
+    grad = grad g(x); g at each accepted iterate is appended to history,
+    which the returned report holds."""
+    nu = mu / -f
     m_c = f.size
     eta = float(-f @ nu)
-    r_dual, _ = residuals(objective, positions, x, nu, _XI * m_c / eta)
-    history = [objective.value(x)]
+    r_dual = grad + positions.matrix.T @ nu
+    steps = 0
     status = "max_iters"
 
     while True:
         if np.linalg.norm(r_dual) <= _EPS_FEAS and eta <= _EPS:
             status = "converged"
             break
-        if len(history) > _MAX_ITERS:
+        if steps >= budget:
             break
         delta = _XI * m_c / eta
         r_cent = -nu * f - 1.0 / delta
@@ -146,6 +183,7 @@ def solve_pdip(objective, positions: PositionSet, x0: np.ndarray) -> SolveReport
         x, nu, f, r_dual = x_try, nu_try, f_try, r_dual_try
         eta = float(-f @ nu)
         history.append(objective.value(x))
+        steps += 1
 
     return SolveReport(
         x=x,

@@ -137,8 +137,11 @@ def test_m_update_local_minimality_probe():
         assert mse(b, m_star + delta, h, scenario.sigma2) >= base - 1e-15
 
 
-def test_m_update_system_is_positive_definite():
+def test_m_update_solves_the_normal_equations():
+    # at -10..10 dB update_m takes its direct branch, and its m must meet
+    # (sigma2*I + W W^H) m = W 1 up to the rounding of a backward-stable solve
     rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
     for _ in range(20):
         scenario = sample_scenario(3, 4, rng.uniform(-10, 10),
                                    seed=int(rng.integers(1 << 31)))
@@ -147,8 +150,12 @@ def test_m_update_system_is_positive_definite():
         h = channel_matrix(scenario, x)
         weighted = h * b[None, :]
         system = scenario.sigma2 * np.eye(3) + weighted @ weighted.conj().T
-        eigs = np.linalg.eigvalsh(system)
-        assert eigs.min() >= scenario.sigma2 - 1e-10
+        assert scenario.sigma2 > np.sqrt(eps) * system.trace().real
+        m = update_m(b, h, scenario.sigma2)
+        target = weighted.sum(axis=1)
+        residual = np.linalg.norm(system @ m - target)
+        scale = np.linalg.norm(system, 2) * np.linalg.norm(m) + np.linalg.norm(target)
+        assert residual <= 10 * eps * scale
 
 
 def test_m_update_requires_positive_noise():

@@ -6,8 +6,8 @@ from oracles import grid_search_apv, qp_active_set_reference
 from util import warmed_objective
 
 from fluidaircomp.model import PositionSet
-from fluidaircomp.pdip import (InfeasibleStartError, SingularKktError, newton_step,
-                               residuals, solve_pdip)
+from fluidaircomp.pdip import (_MAX_ITERS, InfeasibleStartError, SingularKktError,
+                               _newton_loop, newton_step, residuals, solve_pdip)
 from fluidaircomp.sca import QuadraticObjective
 
 
@@ -229,8 +229,10 @@ def test_solve_strict_feasibility_along_the_run():
 
 def test_solve_evaluates_each_point_once(monkeypatch):
     # the gradient is never taken twice at one point, and the residuals are
-    # evaluated once at x0 and once per strictly feasible trial point; this
-    # instance also rejects some feasible trial points in its line search
+    # evaluated once per strictly feasible trial point; x0's dual residual is
+    # built from its one gradient, which the warm attempt and the cold rerun
+    # share (this instance falls back). It also rejects some feasible trial
+    # points in its line search
     positions, objective, _ = warmed_objective(seed=2, n_antennas=5, n_users=3)
     gradient_points = []
     feasible_points = set()
@@ -259,13 +261,83 @@ def test_solve_evaluates_each_point_once(monkeypatch):
         residual_calls.append(args[2].tobytes())
         return residuals(*args)
 
+    step_points = []
+
+    def counted_step(objective, positions, x, *args):
+        step_points.append(x.tobytes())
+        return newton_step(objective, positions, x, *args)
+
     monkeypatch.setattr("fluidaircomp.pdip.residuals", counted_residuals)
+    monkeypatch.setattr("fluidaircomp.pdip.newton_step", counted_step)
     cons = SpyConstraints(positions.n_antennas, positions.aperture, positions.min_spacing)
-    report = solve_pdip(Counting(), cons, positions.interior())
-    assert len(residual_calls) > report.iterations + 1
+    x0 = positions.interior()
+    report = solve_pdip(Counting(), cons, x0)
+    assert step_points.count(x0.tobytes()) == 2  # warm attempt, cold rerun
+    assert len(residual_calls) > report.iterations
     assert len(gradient_points) == len(set(gradient_points))
-    assert len(residual_calls) == len(feasible_points)
-    assert set(residual_calls) == feasible_points
+    assert x0.tobytes() in gradient_points
+    assert len(residual_calls) == len(feasible_points) - 1
+    assert set(residual_calls) == feasible_points - {x0.tobytes()}
+
+
+def cold_run(objective, positions, x0):
+    """The cold start mu = 1 from x0 with the full iteration budget."""
+    return _newton_loop(objective, positions, x0, positions.values(x0),
+                        objective.gradient(x0), 1.0, _MAX_ITERS,
+                        [objective.value(x0)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_resolve_from_converged_point_is_warm(seed):
+    # a start that already meets the KKT tolerances needs no barrier schedule:
+    # the fitted multipliers put it at the stop gap
+    positions, objective, _ = warmed_objective(seed=seed, n_antennas=5, n_users=4)
+    first = solve_pdip(objective, positions, positions.interior())
+    assert first.converged
+    again = solve_pdip(objective, positions, first.x)
+    assert again.converged
+    assert again.iterations <= 2
+    assert again.value == pytest.approx(first.value, rel=1e-8)
+
+
+def test_failed_warm_attempt_returns_the_cold_run():
+    # from the interior start of this instance the warm attempt spends its
+    # budget of ceil(log10(6 / 1e-8)) = 9 steps without converging
+    positions, objective, _ = warmed_objective(seed=2, n_antennas=5, n_users=3)
+    x0 = positions.interior()
+    report = solve_pdip(objective, positions, x0)
+    cold = cold_run(objective, positions, x0)
+    assert cold.converged
+    assert np.array_equal(report.x, cold.x)
+    assert report.status == cold.status
+    assert report.dual_residual == cold.dual_residual
+    assert report.duality_gap == cold.duality_gap
+    assert report.iterations == 9 + cold.iterations
+    assert report.value_history[0] == cold.value_history[0]
+    assert report.value_history[-cold.iterations:] == cold.value_history[1:]
+
+
+def test_zero_barrier_gradient_start_is_the_cold_start(monkeypatch):
+    # at the centre of a 1-D box Df^T (1/(-f)) = 0, so no multiplier scale
+    # can be fitted: the call is the cold start nu0 = 1/(-f(x0))
+    obj = QuadraticObjective(np.eye(1), np.array([-0.6]), 0.09)
+    box = unit_box()
+    x0 = np.array([0.5])
+    nus = []
+
+    def counted_step(objective, positions, x, nu, *args):
+        nus.append(nu.copy())
+        return newton_step(objective, positions, x, nu, *args)
+
+    monkeypatch.setattr("fluidaircomp.pdip.newton_step", counted_step)
+    report = solve_pdip(obj, box, x0)
+    assert np.array_equal(nus[0], 1.0 / -box.values(x0))
+    assert len(nus) == report.iterations
+    cold = cold_run(obj, box, x0)
+    assert report.converged
+    assert np.array_equal(report.x, cold.x)
+    assert report.value_history == cold.value_history
+    assert report.duality_gap == cold.duality_gap
 
 
 def test_solve_deterministic():
