@@ -1,4 +1,4 @@
-"""Command-line interface: batch sweeps, single-instance traces, quick checks."""
+"""Command-line interface: batch sweeps and single-instance traces."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import fields, replace
 
 from .driver import METHODS
 from .experiments import ExperimentConfig, default_out_path, parse_config, run_sweep
-from .selfcheck import run_quick_checks
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,9 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--rounds", dest="max_rounds", metavar="ROUNDS", type=int)
     trace.add_argument("--seed", type=int)
     trace.add_argument("--out", help="output CSV path")
-
-    check = sub.add_parser("check", help="run the quick oracle/invariant suite")
-    check.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -48,8 +44,6 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            return 0 if run_quick_checks(seed=args.seed) == 0 else 1
         if args.command == "run":
             base = parse_config(args.config)
         else:

@@ -176,14 +176,15 @@ def _format_row(row: tuple) -> list[str]:
             f"{rounds:g}", f"{seconds:.6f}", str(seed)]
 
 
-def run_sweep(config: ExperimentConfig, out_path: str | None = None) -> list[tuple]:
-    """Execute the configured sweep, write the CSV, and return the raw rows.
+def run_sweep(config: ExperimentConfig, out_path: str | None = None) -> None:
+    """Execute the configured sweep and write its CSV.
 
     Each axis value's block of per-trial rows (ordered by trial, then method)
     is written and flushed as soon as its trials finish, so a failed run
     leaves the completed blocks on disk. Aggregate rows with trial = -1
     holding the per-(value, method) means over trials follow at the end,
-    except in trace mode.
+    except in trace mode; each is formed from its value's block as that
+    block is written, so only the aggregates outlive their block.
     """
     path = out_path or default_out_path(config)
     values = (0.0,) if config.sweep == "trace" else config.values
@@ -192,32 +193,26 @@ def run_sweep(config: ExperimentConfig, out_path: str | None = None) -> list[tup
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    rows: list[tuple] = []
+    aggregates: list[tuple] = []
     cells = [(config, value, trial) for value in values for trial in range(config.trials)]
     with open(path, "w", newline="", encoding="utf-8") as fh, \
             closing(_map_cells(cells, workers)) as results:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for _ in values:
+        for value in values:
             block = [row for cell_rows in islice(results, config.trials)
                      for row in cell_rows]
             for row in block:
                 writer.writerow(_format_row(row))
             fh.flush()
-            rows.extend(block)
-
-        if config.sweep != "trace":
-            per_group: dict[tuple, list[tuple]] = {}
-            for row in rows:
-                per_group.setdefault((row[1], row[3]), []).append(row)
-            for value in values:
-                for method in config.methods:
-                    group = per_group[(value, method)]
-                    n_rows = len(group)
-                    aggregate = (SWEEP_AXES[config.sweep], value, -1, method,
-                                 sum(r[4] for r in group) / n_rows,
-                                 sum(r[5] for r in group) / n_rows,
-                                 sum(r[6] for r in group) / n_rows, -1)
-                    writer.writerow(_format_row(aggregate))
-                    rows.append(aggregate)
-    return rows
+            if config.sweep == "trace":
+                continue
+            for method in config.methods:
+                group = [row for row in block if row[3] == method]
+                n_rows = len(group)
+                aggregates.append((SWEEP_AXES[config.sweep], value, -1, method,
+                                   sum(r[4] for r in group) / n_rows,
+                                   sum(r[5] for r in group) / n_rows,
+                                   sum(r[6] for r in group) / n_rows, -1))
+        for row in aggregates:
+            writer.writerow(_format_row(row))

@@ -47,10 +47,10 @@ def _gradient(objective, x: np.ndarray) -> np.ndarray:
     return grad
 
 
-def residuals(objective, positions: PositionSet, x: np.ndarray,
+def residuals(objective, positions: PositionSet, x: np.ndarray, f: np.ndarray,
               nu: np.ndarray, delta: float):
-    """Dual residual grad g + Df^T nu and centrality residual -diag(nu) f - 1/delta."""
-    f = positions.values(x)
+    """Dual residual grad g + Df^T nu and centrality residual -diag(nu) f - 1/delta,
+    given f = f(x)."""
     if not np.all(f < 0):
         raise InfeasibleStartError("residuals require a strictly feasible point")
     r_dual = _gradient(objective, x) + positions.matrix.T @ nu
@@ -58,16 +58,15 @@ def residuals(objective, positions: PositionSet, x: np.ndarray,
     return r_dual, r_cent
 
 
-def newton_step(objective, positions: PositionSet, x: np.ndarray,
+def newton_step(objective, positions: PositionSet, x: np.ndarray, f: np.ndarray,
                 nu: np.ndarray, r_dual: np.ndarray, r_cent: np.ndarray):
-    """Solve the primal-dual Newton system at (x, nu) with the given residuals
-    for (dx, dnu).
+    """Solve the primal-dual Newton system at (x, nu), given f = f(x) and the
+    residuals there, for (dx, dnu).
 
     The objective Hessian may be indefinite or singular here; on a failed or
     inaccurate factorization a Levenberg-style rho*I term is added, escalating
     rho tenfold up to 5 times before giving up.
     """
-    f = positions.values(x)
     jac = positions.matrix
     n = x.size
     hess = objective.hessian(x)
@@ -110,8 +109,9 @@ def solve_pdip(objective, positions: PositionSet, x0: np.ndarray) -> SolveReport
     backtracks until the KKT residual norm has decreased. Success means the
     dual residual and the surrogate duality gap eta = -f(x)^T nu are below
     their tolerances; anything else is reported in the status field. The
-    gradient is taken once at x0, and the residuals once at each strictly
-    feasible trial point; an accepted trial point's are reused.
+    gradient is taken once at x0, f once at each trial point, and the
+    residuals once at each strictly feasible trial point; an accepted trial
+    point's f and residuals are reused.
     """
     x = positions.check(x0)
     f = positions.values(x)
@@ -153,7 +153,7 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
         delta = _XI * m_c / eta
         r_cent = -nu * f - 1.0 / delta
         try:
-            dx, dnu = newton_step(objective, positions, x, nu, r_dual, r_cent)
+            dx, dnu = newton_step(objective, positions, x, f, nu, r_dual, r_cent)
         except SingularKktError:
             status = "singular_kkt"
             break
@@ -169,8 +169,8 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
             f_try = positions.values(x_try)
             if np.all(f_try < 0):
                 nu_try = nu + gamma * dnu
-                r_dual_try, r_cent_try = residuals(objective, positions,
-                                                   x_try, nu_try, delta)
+                r_dual_try, r_cent_try = residuals(objective, positions, x_try,
+                                                   f_try, nu_try, delta)
                 trial_norm = float(np.sqrt(np.sum(r_dual_try**2)
                                            + np.sum(r_cent_try**2)))
                 if trial_norm <= (1.0 - _A_LS * gamma) * base_norm:

@@ -296,20 +296,6 @@ def grid_search_refined(objective, aperture, min_spacing, resolution,
     return x_best, g_best
 
 
-def count_feasible_grid(aperture, min_spacing, resolution, n):
-    """Number of points grid_search_apv would visit."""
-    axis = feasible_grid_axis(aperture, resolution)
-    if n == 1:
-        return axis.size
-    if n == 2:
-        return int(sum((axis >= x1 + min_spacing - 1e-12).sum() for x1 in axis))
-    total = 0
-    for x1 in axis:
-        for x2 in axis[axis >= x1 + min_spacing - 1e-12]:
-            total += int((axis >= x2 + min_spacing - 1e-12).sum())
-    return total
-
-
 def qp_active_set_reference(quad, lin, positions: PositionSet,
                             feas_tol=1e-9, dual_tol=1e-9):
     """Exact minimizer of x^T Q x + c^T x over the position set's rows

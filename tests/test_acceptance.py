@@ -5,7 +5,11 @@ run 50 paired Monte Carlo trials each and dominate the runtime; every one of
 them is budgeted to finish within 10 minutes on a single core.
 """
 
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -42,18 +46,36 @@ def assert_monotone(history):
     assert np.all(np.diff(hist) <= MONOTONE_SLACK), "MSE increased along a run"
 
 
+def _paired_trial(args):
+    """(final MSE, rounds, trace) per method on one trial's scenario. A
+    spawned worker does not inherit pytest's warning filters, so it makes a
+    RuntimeWarning an error itself, as pyproject.toml does for the tests."""
+    warnings.simplefilter("error", RuntimeWarning)
+    methods, n, k, snr, seed, tol_mse, max_rounds = args
+    scenario = sample_scenario(n, k, snr, seed=seed)
+    results = []
+    for method in methods:
+        report = ao_optimize(scenario, AoOptions(
+            method=method, max_rounds=max_rounds, tol_mse=tol_mse))
+        assert_monotone(report.mse_history)
+        results.append((report.state.mse, report.rounds, report.mse_history))
+    return results
+
+
 def run_paired(methods, n, k, snr, trials, seed0, tol_mse, max_rounds):
-    """Final MSE, rounds, and traces per method on shared scenarios."""
+    """Final MSE, rounds, and traces per method on shared scenarios, in trial
+    order. The trials are independent, so they run on one pool of spawned
+    worker processes."""
+    cells = [(methods, n, k, snr, seed0 + trial, tol_mse, max_rounds)
+             for trial in range(trials)]
     out = {m: {"mse": [], "rounds": [], "hist": []} for m in methods}
-    for trial in range(trials):
-        scenario = sample_scenario(n, k, snr, seed=seed0 + trial)
-        for method in methods:
-            report = ao_optimize(scenario, AoOptions(
-                method=method, max_rounds=max_rounds, tol_mse=tol_mse))
-            assert_monotone(report.mse_history)
-            out[method]["mse"].append(report.state.mse)
-            out[method]["rounds"].append(report.rounds)
-            out[method]["hist"].append(report.mse_history)
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, trials),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        for results in pool.map(_paired_trial, cells):
+            for method, (mse_val, rounds, hist) in zip(methods, results):
+                out[method]["mse"].append(mse_val)
+                out[method]["rounds"].append(rounds)
+                out[method]["hist"].append(hist)
     return out
 
 

@@ -394,6 +394,7 @@ def test_cli_unknown_flag_exits_2():
 
 
 def test_cli_unknown_command_exits_2():
-    with pytest.raises(SystemExit) as excinfo:
-        cli_main(["optimize"])
-    assert excinfo.value.code == 2
+    for command in ("optimize", "check"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([command])
+        assert excinfo.value.code == 2

@@ -18,7 +18,7 @@ def unit_box():
 
 class Box2:
     """The 2-D box 0 <= x <= 1 in the f(x) = matrix @ x + offsets <= 0
-    convention; residuals and newton_step read only matrix and values(x)."""
+    convention; residuals and newton_step read only its matrix."""
 
     matrix = np.vstack([-np.eye(2), np.eye(2)])
     offsets = np.array([0.0, 0.0, -1.0, -1.0])
@@ -29,8 +29,9 @@ class Box2:
 
 def step_at(objective, positions, x, nu, delta):
     """newton_step at (x, nu) with the residuals for barrier parameter delta."""
-    return newton_step(objective, positions, x, nu,
-                       *residuals(objective, positions, x, nu, delta))
+    f = positions.values(x)
+    return newton_step(objective, positions, x, f, nu,
+                       *residuals(objective, positions, x, f, nu, delta))
 
 
 def central_path_point_1d(target, delta):
@@ -51,22 +52,25 @@ def test_residuals_zero_multiplier_reduces_to_gradient():
     obj = QuadraticObjective(np.eye(1), np.array([-0.6]), 0.09)  # (x-0.3)^2
     cons = unit_box()
     x = np.array([0.7])
-    r_dual, r_cent = residuals(obj, cons, x, np.zeros(2), delta=2.0)
+    r_dual, r_cent = residuals(obj, cons, x, cons.values(x), np.zeros(2), delta=2.0)
     assert np.allclose(r_dual, obj.gradient(x))
     assert np.allclose(r_cent, -0.5)
 
 
 def test_residuals_reject_infeasible_point():
     obj = QuadraticObjective(np.eye(1), np.zeros(1))
+    box = unit_box()
+    x = np.array([1.5])
     with pytest.raises(InfeasibleStartError):
-        residuals(obj, unit_box(), np.array([1.5]), np.ones(2), delta=1.0)
+        residuals(obj, box, x, box.values(x), np.ones(2), delta=1.0)
 
 
 def test_residuals_vanish_on_central_path():
     delta = 25.0
     obj = QuadraticObjective(np.eye(1), np.array([-0.6]), 0.09)
     x, nu = central_path_point_1d(0.3, delta)
-    r_dual, r_cent = residuals(obj, unit_box(), np.array([x]), nu, delta)
+    box, point = unit_box(), np.array([x])
+    r_dual, r_cent = residuals(obj, box, point, box.values(point), nu, delta)
     assert np.max(np.abs(r_dual)) < 1e-10
     assert np.max(np.abs(r_cent)) < 1e-10
 
@@ -79,7 +83,7 @@ def test_residual_centrality_inverse_identity():
     delta = 3.0
     f = cons.values(x)
     nu = 1.0 / (-delta * f)
-    _, r_cent = residuals(obj, cons, x, nu, delta)
+    _, r_cent = residuals(obj, cons, x, f, nu, delta)
     assert np.max(np.abs(r_cent)) < 1e-15  # zero up to one rounding of 1/delta
 
 
@@ -127,7 +131,7 @@ def test_newton_step_escalates_damping_to_descent_direction():
     delta = 2.0
 
     def norm(px, pnu):
-        r_d, r_c = residuals(Indefinite(), cons, px, pnu, delta)
+        r_d, r_c = residuals(Indefinite(), cons, px, cons.values(px), pnu, delta)
         return np.sqrt(np.sum(r_d**2) + np.sum(r_c**2))
 
     kkt = np.block([
@@ -325,9 +329,9 @@ def test_zero_barrier_gradient_start_is_the_cold_start(monkeypatch):
     x0 = np.array([0.5])
     nus = []
 
-    def counted_step(objective, positions, x, nu, *args):
+    def counted_step(objective, positions, x, f, nu, *args):
         nus.append(nu.copy())
-        return newton_step(objective, positions, x, nu, *args)
+        return newton_step(objective, positions, x, f, nu, *args)
 
     monkeypatch.setattr("fluidaircomp.pdip.newton_step", counted_step)
     report = solve_pdip(obj, box, x0)

@@ -4,11 +4,11 @@ from scipy.optimize import nnls
 
 from oracles import (cross_lower_bound, cross_term, grid_search_refined, nudge,
                      power_term, power_upper_bound, summed_bounds)
-from util import random_feasible_positions, random_weights, warmed_objective
+from util import random_feasible_positions, random_state, random_weights, warmed_objective
 
 import fluidaircomp.sca
-from fluidaircomp.apv_objective import ApvObjective
-from fluidaircomp.model import PositionSet, SolveReport
+from fluidaircomp.apv_objective import ApvObjective, effective_weights
+from fluidaircomp.model import PositionSet, SolveReport, sample_scenario
 from fluidaircomp.pdip import solve_pdip
 from fluidaircomp.sca import build_surrogate, solve_qp, solve_sca
 
@@ -77,6 +77,15 @@ def test_surrogate_equals_sum_of_per_user_bounds():
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
 
 
+def assert_tight_majorizer(obj, anchor, points, slack):
+    surrogate = build_surrogate(obj, anchor)
+    true_at_anchor = obj.value(anchor)
+    assert surrogate.value(anchor) == pytest.approx(
+        true_at_anchor, abs=1e-8 * (1 + abs(true_at_anchor)))
+    for x in points:
+        assert surrogate.value(x) >= obj.value(x) - slack
+
+
 def test_surrogate_dominates_residual_sum():
     rng = np.random.default_rng(44)
     for _ in range(30):
@@ -84,13 +93,16 @@ def test_surrogate_dominates_residual_sum():
         k_users = int(rng.integers(1, 4))
         obj = random_weights(rng, k_users, n)
         anchor = rng.uniform(0, n, n)
-        surrogate = build_surrogate(obj, anchor)
-        true_at_anchor = obj.value(anchor)
-        assert surrogate.value(anchor) == pytest.approx(
-            true_at_anchor, abs=1e-8 * (1 + abs(true_at_anchor)))
-        for _ in range(30):
-            x = rng.uniform(-1, n + 1, n)
-            assert surrogate.value(x) >= obj.value(x) - 1e-8
+        points = [rng.uniform(-1, n + 1, n) for _ in range(30)]
+        assert_tight_majorizer(obj, anchor, points, slack=1e-8)
+    # the weights an AO round builds from a sampled scenario, at feasible
+    # points, with the tighter slack 1e-9
+    for seed in range(10):
+        scenario = sample_scenario(4, 3, 0.0, seed=seed)
+        obj = effective_weights(*random_state(rng, scenario), scenario)
+        points = [random_feasible_positions(rng, 4, scenario.aperture, scenario.min_spacing)
+                  for _ in range(201)]
+        assert_tight_majorizer(obj, points[0], points[1:], slack=1e-9)
 
 
 def test_surrogate_curvature_is_psd():
