@@ -4,11 +4,13 @@ The objective is supplied as an oracle exposing value(x), gradient(x), and
 hessian(x); the constraints are the affine rows f(x) = matrix @ x + offsets
 <= 0 of a PositionSet, of which only matrix, values(x) and check(x0) are
 read. The solver runs the non-convex antenna-position problem, whose Hessian
-may be indefinite (hence the damping in newton_step). The iteration is the
-primal-dual method of Boyd & Vandenberghe, Convex Optimization, section 11.7,
-warm started with a cold-start fallback as in Yildirim & Wright, "Warm-start
-strategies in interior-point methods for linear programming", SIAM J. Optim.
-12(3), 2002.
+may be indefinite (hence the damping in newton_step), and the KKT residual
+norm that the line search decreases can flatten out away from a KKT point;
+a run whose accepted steps stop cutting that norm ends with status
+no_progress. The iteration is the primal-dual method of Boyd & Vandenberghe,
+Convex Optimization, section 11.7, warm started with a cold-start fallback as
+in Yildirim & Wright, "Warm-start strategies in interior-point methods for
+linear programming", SIAM J. Optim. 12(3), 2002.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ _MAX_ITERS = 200
 _A_LS = 0.05
 _B_LS = 0.5
 _MAX_BACKTRACKS = 100
+# No-progress exit: stop once _FLAT_STEPS accepted steps in a row have each
+# cut the KKT residual norm by less than the fraction _FLAT_CUT.
+_FLAT_STEPS = 10
+_FLAT_CUT = 1e-6
 # The first KKT solve is undamped; on failure rho*I is added to the Hessian,
 # starting at _FIRST_DAMPING and growing tenfold per escalation.
 _FIRST_DAMPING = 1e-6
@@ -108,10 +114,12 @@ def solve_pdip(objective, positions: PositionSet, x0: np.ndarray) -> SolveReport
     caps the step to preserve nu > 0, then backtracks into feasibility, then
     backtracks until the KKT residual norm has decreased. Success means the
     dual residual and the surrogate duality gap eta = -f(x)^T nu are below
-    their tolerances; anything else is reported in the status field. The
-    gradient is taken once at x0, f once at each trial point, and the
-    residuals once at each strictly feasible trial point; an accepted trial
-    point's f and residuals are reused.
+    their tolerances; anything else is reported in the status field:
+    max_iters, no_progress (_FLAT_STEPS accepted steps in a row each cut the
+    residual norm by less than the fraction _FLAT_CUT), line_search_stall or
+    singular_kkt. The gradient is taken once at x0, f once at each trial
+    point, and the residuals once at each strictly feasible trial point; an
+    accepted trial point's f and residuals are reused.
     """
     x = positions.check(x0)
     f = positions.values(x)
@@ -136,17 +144,24 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
                  history: list) -> SolveReport:
     """At most budget Newton steps from (x, mu / (-f)), given f = f(x) and
     grad = grad g(x); g at each accepted iterate is appended to history,
-    which the returned report holds."""
+    which the returned report holds. The run ends no_progress at the last
+    iterate once _FLAT_STEPS accepted steps in a row have each left the KKT
+    residual norm above 1 - _FLAT_CUT times its value before the step; the
+    stop reads that norm, not g, which may rise while an iterate centres."""
     nu = mu / -f
     m_c = f.size
     eta = float(-f @ nu)
     r_dual = grad + positions.matrix.T @ nu
     steps = 0
+    flat = 0
     status = "max_iters"
 
     while True:
         if np.linalg.norm(r_dual) <= _EPS_FEAS and eta <= _EPS:
             status = "converged"
+            break
+        if flat >= _FLAT_STEPS:
+            status = "no_progress"
             break
         if steps >= budget:
             break
@@ -180,6 +195,7 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
             status = "line_search_stall"
             break
 
+        flat = flat + 1 if trial_norm > (1.0 - _FLAT_CUT) * base_norm else 0
         x, nu, f, r_dual = x_try, nu_try, f_try, r_dual_try
         eta = float(-f @ nu)
         history.append(objective.value(x))

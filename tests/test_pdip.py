@@ -5,7 +5,9 @@ from scipy.optimize import brentq
 from oracles import grid_search_apv, qp_active_set_reference
 from util import warmed_objective
 
-from fluidaircomp.model import PositionSet
+from fluidaircomp.apv_objective import effective_weights
+from fluidaircomp.closed_form import update_b, update_m
+from fluidaircomp.model import PositionSet, channel_matrix, sample_scenario
 from fluidaircomp.pdip import (_MAX_ITERS, InfeasibleStartError, SingularKktError,
                                _newton_loop, newton_step, residuals, solve_pdip)
 from fluidaircomp.sca import QuadraticObjective
@@ -226,7 +228,8 @@ def test_solve_strict_feasibility_along_the_run():
 
     report = solve_pdip(Spy(), positions, positions.interior())
     assert np.max(positions.values(report.x)) < 0
-    assert report.status in ("converged", "max_iters", "line_search_stall")
+    assert report.status in ("converged", "max_iters", "line_search_stall",
+                             "no_progress")
     assert seen
     assert all(np.max(positions.values(x)) < 0 for x in seen)
 
@@ -364,3 +367,57 @@ def test_solve_apv_instance_reaches_grid_optimum():
                                 positions.min_spacing, resolution)
     assert objective.value(report.x) <= g_best + 1e-4
     assert objective.value(report.x) <= objective.value(x0)
+
+
+def round_one_objective(n_antennas, n_users, snr_db, seed):
+    """(positions, objective, x0) of an AO run's first pdip call: one m and
+    one b update from b = sqrt(P) at the interior start."""
+    scenario = sample_scenario(n_antennas, n_users, snr_db, seed)
+    positions = scenario.positions
+    x0 = positions.interior()
+    h = channel_matrix(scenario, x0)
+    b = np.sqrt(scenario.powers).astype(complex)
+    m = update_m(b, h, scenario.sigma2)
+    b = update_b(m, h, scenario.powers)
+    return positions, effective_weights(b, m, scenario), x0
+
+
+def count_residuals(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return residuals(*args)
+
+    monkeypatch.setattr("fluidaircomp.pdip.residuals", counted)
+    return calls
+
+
+def assert_flat_run_stops(report, positions, calls, value):
+    # the run used to spend all its Newton steps, about 19 backtracks each,
+    # without moving the KKT residual norm; it stops early at the same g
+    assert report.status == "no_progress"
+    assert not report.converged
+    assert report.iterations <= 40
+    assert len(calls) <= 400
+    assert np.max(positions.values(report.x)) < 0
+    assert report.value == pytest.approx(value, rel=1e-7)
+
+
+def test_flat_run_ends_no_progress_on_array_n20_round_one(monkeypatch):
+    # the first pdip call of the N = 20, K = 40, -10 dB, seed 0 cell: its
+    # warm attempt fails and the cold run stalled for 200 steps (210 in all,
+    # 3977 residual evaluations)
+    positions, objective, x0 = round_one_objective(20, 40, -10.0, 0)
+    calls = count_residuals(monkeypatch)
+    report = solve_pdip(objective, positions, x0)
+    assert_flat_run_stops(report, positions, calls, 2.91443212271)
+
+
+def test_flat_cold_run_ends_no_progress_at_seed_8203(monkeypatch):
+    # the cold run of the N = K = 10, 0 dB, seed 8203 first call: g held
+    # 0.30920 to 6 digits for 190 of its 200 steps (3762 evaluations)
+    positions, objective, x0 = round_one_objective(10, 10, 0.0, 8203)
+    calls = count_residuals(monkeypatch)
+    report = cold_run(objective, positions, x0)
+    assert_flat_run_stops(report, positions, calls, 0.309199779353)

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts in scripts/, the library's external callers."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,37 @@ def test_compare_solvers_runs():
     assert result.returncode == 0, result.stderr
     methods = [line.split()[0] for line in result.stdout.splitlines()[2:]]
     assert methods == ["pdip", "sca", "pgd", "fpa"]
+
+
+def test_cells_ledger_writes_and_compares_one_cell(tmp_path):
+    cell = "N10 K10 +10dB s0"
+    first = tmp_path / "first.json"
+    result = run_script("cells.py", "--cell", cell, "--out", str(first))
+    assert result.returncode == 0, result.stderr
+    ledger = json.loads(first.read_text())
+    solves = ledger[cell]["solves"]
+    assert list(ledger) == [cell]
+    assert list(solves) == ["pdip", "sca", "pgd", "fpa"]
+    for method, solve in solves.items():
+        assert float.fromhex(solve["mse"]) > 0
+        assert len(solve["inner_iterations"]) == (0 if method == "fpa" else solve["rounds"])
+
+    # a rerun reproduces the file; against an edited copy it names the moves
+    solves["pdip"]["mse"] = (float.fromhex(solves["pdip"]["mse"]) * 0.5).hex()
+    solves["sca"]["rounds"] += 1
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(ledger))
+    second = tmp_path / "second.json"
+    result = run_script("cells.py", "--cell", cell, "--out", str(second),
+                        "--against", str(old))
+    assert result.returncode == 0, result.stderr
+    assert second.read_text() == first.read_text()
+    lines = result.stdout.splitlines()
+    assert f"  pdip   +1.00e+00  {cell}" in lines
+    assert f"  sca    +0.00e+00  {cell}" in lines
+    assert f"  {cell} sca: rounds {solves['sca']['rounds']} -> " \
+           f"{solves['sca']['rounds'] - 1}" in lines
+    assert sum(line.endswith("changed") for line in lines) == 2
 
 
 def test_reproduce_study_quick_writes_every_csv(tmp_path):
