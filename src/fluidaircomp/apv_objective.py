@@ -44,8 +44,9 @@ class ApvObjective:
     feasible or not; solvers need values outside the feasible set while
     backtracking. value, gradient and hessian share one steering evaluation
     per point: the (v, u) of the last point asked about are kept, keyed on its
-    shape and bytes, so a solver that asks for the value, gradient and Hessian
-    at one x forms them once. Objectives compare and hash by identity.
+    shape and bytes, and so is w = v (conj(u) - 1) once the gradient or the
+    Hessian has formed it, so a solver that asks for the value, gradient and
+    Hessian at one x forms each once. Objectives compare and hash by identity.
     """
 
     coefficients: np.ndarray
@@ -58,39 +59,46 @@ class ApvObjective:
         v = self.coefficients * np.swapaxes(steering(x, self.spatial_freqs), -1, -2)
         return v, v.sum(axis=-1)
 
-    def _steered(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """steered(x), reused while x keeps the last point's bytes."""
+    def _point(self, x: np.ndarray) -> dict:
+        """The last point's v and u (and w, once formed), reused while x keeps
+        the last point's shape and bytes. The arrays never leave the class,
+        whose methods only read them."""
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
-        if key not in self._last:
-            v, u = self.steered(x)
-            # read-only, so no caller can alter what the next one reads
-            v.flags.writeable = u.flags.writeable = False
-            self._last.clear()
-            self._last[key] = (v, u)
-        return self._last[key]
+        last = self._last
+        if last.get("key") != key:
+            last.clear()
+            last["v"], last["u"] = self.steered(x)
+            last["key"] = key
+        return last
+
+    def _tilted(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """v and w = v (conj(u) - 1) at one point; w is formed once per point."""
+        last = self._point(x)
+        if "w" not in last:
+            last["w"] = last["v"] * (last["u"].conj()[:, None] - 1.0)
+        return last["v"], last["w"]
 
     def value(self, x: np.ndarray) -> float | np.ndarray:
         """g(x); a (P, N) stack of points gives the (P,) array of values."""
-        _, u = self._steered(x)
-        r = u - 1.0
-        g = np.sum(r.real**2 + r.imag**2, axis=-1)
+        r = self._point(x)["u"] - 1.0
+        g = (r.real**2 + r.imag**2).sum(axis=-1)
         return float(g) if g.ndim == 0 else g
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Analytic gradient of g at one point."""
-        v, u = self._steered(x)
-        return -2.0 * self.spatial_freqs @ (v * (u.conj()[:, None] - 1.0)).imag
+        _, w = self._tilted(x)
+        return -2.0 * self.spatial_freqs @ w.imag
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Analytic Hessian of g at one point (symmetric N x N)."""
-        v, u = self._steered(x)
+        v, w = self._tilted(x)
         phi2 = self.spatial_freqs ** 2
         # 2 Re(V^T Phi^2 conj(V)) as two real products, which measured
         # faster than one complex product
         re, im = v.real, v.imag
         hess = 2.0 * ((phi2[:, None] * re).T @ re + (phi2[:, None] * im).T @ im)
-        diag = 2.0 * phi2 @ (np.abs(v) ** 2 - (v * (u.conj()[:, None] - 1.0)).real)
+        diag = 2.0 * phi2 @ (np.abs(v) ** 2 - w.real)
         np.fill_diagonal(hess, diag)
         return hess
 

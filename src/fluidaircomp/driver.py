@@ -4,8 +4,11 @@ Each round updates m (least squares), then b (per-user KKT), then the antenna
 positions with the selected solver. The closed-form updates are exact
 minimizers of their subproblems and the position step is guarded, so the MSE
 sequence is non-increasing by construction for every method. Only the
-position step moves x, so the driver forms the channel matrix H once per
-distinct x (once per solve for fpa) and hands it to the m, b and MSE layers.
+position step moves x, so the driver forms the channel matrix H only when x
+moves (once per solve for fpa) and hands it to the m, b and MSE layers. H and
+the position objectives share one steering exponential per distinct x (see
+model.steering): H after an accepted step, and the next round's first
+evaluation, reuse the one the position step's last evaluation formed.
 """
 
 from __future__ import annotations

@@ -7,13 +7,17 @@ read. The solver runs the non-convex antenna-position problem, whose Hessian
 may be indefinite (hence the damping in newton_step), and the KKT residual
 norm that the line search decreases can flatten out away from a KKT point;
 a run whose accepted steps stop cutting that norm ends with status
-no_progress. The iteration is the primal-dual method of Boyd & Vandenberghe,
-Convex Optimization, section 11.7, warm started with a cold-start fallback as
-in Yildirim & Wright, "Warm-start strategies in interior-point methods for
-linear programming", SIAM J. Optim. 12(3), 2002.
+no_progress. Each run assembles its Newton systems in one KKT workspace,
+whose constant block is written once. The iteration is the primal-dual
+method of Boyd & Vandenberghe, Convex Optimization, section 11.7, warm
+started with a cold-start fallback as in Yildirim & Wright, "Warm-start
+strategies in interior-point methods for linear programming", SIAM J. Optim.
+12(3), 2002.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,7 +52,7 @@ class SingularKktError(RuntimeError):
 
 def _gradient(objective, x: np.ndarray) -> np.ndarray:
     grad = objective.gradient(x)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("objective gradient is not finite")
     return grad
 
@@ -57,41 +61,58 @@ def residuals(objective, positions: PositionSet, x: np.ndarray, f: np.ndarray,
               nu: np.ndarray, delta: float):
     """Dual residual grad g + Df^T nu and centrality residual -diag(nu) f - 1/delta,
     given f = f(x)."""
-    if not np.all(f < 0):
+    if not (f < 0).all():
         raise InfeasibleStartError("residuals require a strictly feasible point")
     r_dual = _gradient(objective, x) + positions.matrix.T @ nu
     r_cent = -nu * f - 1.0 / delta
     return r_dual, r_cent
 
 
+def _kkt_workspace(jac: np.ndarray) -> np.ndarray:
+    """The KKT matrix [[H, Df^T], [-diag(nu) Df, -diag(f)]] of newton_step
+    for constraint rows jac, with its constant parts written: Df^T, and the
+    -0.0 that -diag(f) holds off its diagonal."""
+    m_c, n = jac.shape
+    kkt = np.empty((n + m_c, n + m_c))
+    kkt[:n, n:] = jac.T
+    kkt[n:, n:] = -0.0
+    return kkt
+
+
 def newton_step(objective, positions: PositionSet, x: np.ndarray, f: np.ndarray,
-                nu: np.ndarray, r_dual: np.ndarray, r_cent: np.ndarray):
+                nu: np.ndarray, r_dual: np.ndarray, r_cent: np.ndarray,
+                kkt: np.ndarray | None = None):
     """Solve the primal-dual Newton system at (x, nu), given f = f(x) and the
     residuals there, for (dx, dnu).
 
+    kkt is a workspace from an earlier step of the same run, or None for a
+    fresh one; a step writes only its H, -diag(nu) Df and diagonal blocks.
     The objective Hessian may be indefinite or singular here; on a failed or
     inaccurate factorization a Levenberg-style rho*I term is added, escalating
     rho tenfold up to 5 times before giving up.
     """
     jac = positions.matrix
     n = x.size
+    if kkt is None:
+        kkt = _kkt_workspace(jac)
     hess = objective.hessian(x)
-    hess_diag = np.diag(hess)
-    kkt = np.block([
-        [hess, jac.T],
-        [-nu[:, None] * jac, -np.diag(f)],
-    ])
+    hess_diag = hess.diagonal()
+    kkt[:n, :n] = hess
+    kkt[n:, :n] = -nu[:, None] * jac
+    diag = kkt.reshape(-1)[::kkt.shape[0] + 1]
+    diag[n:] = -f
     rhs = -np.concatenate([r_dual, r_cent])
+    tol = 1e-10 * (1.0 + math.sqrt(rhs @ rhs))
     rho = 0.0
     for _ in range(_MAX_DAMPING_ESCALATIONS + 1):
-        kkt[np.diag_indices(n)] = hess_diag + rho
+        diag[:n] = hess_diag + rho
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             sol = None
-        if sol is not None and np.all(np.isfinite(sol)):
-            resid = np.linalg.norm(kkt @ sol - rhs)
-            if resid <= 1e-10 * (1.0 + np.linalg.norm(rhs)):
+        if sol is not None and np.isfinite(sol).all():
+            resid = kkt @ sol - rhs
+            if math.sqrt(resid @ resid) <= tol:
                 return sol[:n], sol[n:]
         rho = _FIRST_DAMPING if rho == 0.0 else 10.0 * rho
     raise SingularKktError("KKT system unsolvable after damping escalation")
@@ -123,7 +144,7 @@ def solve_pdip(objective, positions: PositionSet, x0: np.ndarray) -> SolveReport
     """
     x = positions.check(x0)
     f = positions.values(x)
-    if not np.all(f < 0):
+    if not (f < 0).all():
         raise InfeasibleStartError("x0 must satisfy f(x0) < 0 strictly")
     grad = _gradient(objective, x)
     history = [objective.value(x)]
@@ -152,12 +173,13 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
     m_c = f.size
     eta = float(-f @ nu)
     r_dual = grad + positions.matrix.T @ nu
+    kkt = _kkt_workspace(positions.matrix)
     steps = 0
     flat = 0
     status = "max_iters"
 
     while True:
-        if np.linalg.norm(r_dual) <= _EPS_FEAS and eta <= _EPS:
+        if math.sqrt(r_dual @ r_dual) <= _EPS_FEAS and eta <= _EPS:
             status = "converged"
             break
         if flat >= _FLAT_STEPS:
@@ -168,7 +190,7 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
         delta = _XI * m_c / eta
         r_cent = -nu * f - 1.0 / delta
         try:
-            dx, dnu = newton_step(objective, positions, x, f, nu, r_dual, r_cent)
+            dx, dnu = newton_step(objective, positions, x, f, nu, r_dual, r_cent, kkt)
         except SingularKktError:
             status = "singular_kkt"
             break
@@ -176,18 +198,17 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
         # stage 1: largest step keeping nu positive
         shrinking = dnu < 0
         gamma = 1.0
-        if np.any(shrinking):
-            gamma = min(1.0, 0.99 * np.min(-nu[shrinking] / dnu[shrinking]))
-        base_norm = float(np.sqrt(np.sum(r_dual**2) + np.sum(r_cent**2)))
+        if shrinking.any():
+            gamma = min(1.0, 0.99 * (-nu[shrinking] / dnu[shrinking]).min())
+        base_norm = math.sqrt((r_dual**2).sum() + (r_cent**2).sum())
         for _ in range(_MAX_BACKTRACKS):
             x_try = x + gamma * dx
             f_try = positions.values(x_try)
-            if np.all(f_try < 0):
+            if (f_try < 0).all():
                 nu_try = nu + gamma * dnu
                 r_dual_try, r_cent_try = residuals(objective, positions, x_try,
                                                    f_try, nu_try, delta)
-                trial_norm = float(np.sqrt(np.sum(r_dual_try**2)
-                                           + np.sum(r_cent_try**2)))
+                trial_norm = math.sqrt((r_dual_try**2).sum() + (r_cent_try**2).sum())
                 if trial_norm <= (1.0 - _A_LS * gamma) * base_norm:
                     break
             gamma *= _B_LS
@@ -205,6 +226,6 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
         x=x,
         status=status,
         value_history=history,
-        dual_residual=float(np.linalg.norm(r_dual)),
+        dual_residual=math.sqrt(r_dual @ r_dual),
         duality_gap=eta,
     )

@@ -14,6 +14,8 @@ restarted at _STEP0 would take three or four.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .apv_objective import ApvObjective
@@ -114,7 +116,8 @@ def solve_pgd(objective: ApvObjective, positions: PositionSet,
         gamma = _STEP0 if x_prev is None else _trial_step(x - x_prev, grad - grad_prev)
         for _ in range(_MAX_BACKTRACKS):
             x_new = project_feasible(x - gamma * grad, positions)
-            if (_STEP0 / gamma) * float(np.linalg.norm(x_new - x)) < _TOL_X:
+            step = x_new - x
+            if (_STEP0 / gamma) * math.sqrt(step @ step) < _TOL_X:
                 status = "converged"
                 break
             g_new = objective.value(x_new)

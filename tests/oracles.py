@@ -371,3 +371,32 @@ def project_feasible_numpy(v, aperture, min_spacing):
         out[pos:pos + block_count] = block_sum / block_count
         pos += block_count
     return np.clip(out, 0.0, upper) + ramp
+
+
+def newton_step_block(objective, positions, x, f, nu, r_dual, r_cent):
+    """The primal-dual Newton step as first written: the KKT matrix assembled
+    afresh with np.block, its Hessian diagonal damped by rho = 0, then 1e-6
+    growing tenfold up to 5 times. Returns (dx, dnu, rho). Kept to pin the
+    library's reused KKT workspace to the same system, bit for bit."""
+    jac = positions.matrix
+    n = x.size
+    hess = objective.hessian(x)
+    hess_diag = np.diag(hess)
+    kkt = np.block([
+        [hess, jac.T],
+        [-nu[:, None] * jac, -np.diag(f)],
+    ])
+    rhs = -np.concatenate([r_dual, r_cent])
+    rho = 0.0
+    for _ in range(6):
+        kkt[np.diag_indices(n)] = hess_diag + rho
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is not None and np.all(np.isfinite(sol)):
+            resid = np.linalg.norm(kkt @ sol - rhs)
+            if resid <= 1e-10 * (1.0 + np.linalg.norm(rhs)):
+                return sol[:n], sol[n:], rho
+        rho = 1e-6 if rho == 0.0 else 10.0 * rho
+    raise np.linalg.LinAlgError("KKT system unsolvable after damping escalation")

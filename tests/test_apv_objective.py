@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,9 @@ from oracles import (cosine_gradient, cosine_hessian, cosine_value, cross_term,
                      fd_gradient, fd_hessian, polar, power_term, steering_vector)
 from util import random_state, random_weights
 
+from fluidaircomp import model
 from fluidaircomp.apv_objective import ApvObjective, effective_weights
-from fluidaircomp.model import sample_scenario
+from fluidaircomp.model import channel_matrix, sample_scenario, steering
 
 
 def _direct_inner(weights, k, x):
@@ -106,6 +110,77 @@ def test_shared_evaluation_is_never_stale():
         check(method, x)
     x[2] -= 0.25
     check("value", x)
+
+
+def test_steering_memo_is_never_stale(monkeypatch):
+    # steering keeps the last matrix it formed for one point; whatever the
+    # order of points and frequencies, each result equals a fresh evaluation
+    rng = np.random.default_rng(14)
+    x1, x2 = rng.uniform(0, 5, 5), rng.uniform(0, 5, 5)
+    first, second = sample_scenario(5, 4, 0.0, seed=1), sample_scenario(5, 4, 0.0, seed=2)
+    b, m = np.ones(4, dtype=complex), rng.standard_normal(5) + 1j * rng.standard_normal(5)
+
+    def fresh(fn, *args):
+        # fn with an empty memo, which the call then leaves as it found it
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_last_steering", (None, None))
+            return fn(*args)
+
+    def same(got, ref):
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    for x, scenario in ((x1, first), (x2, first), (x1, first), (x1, second),
+                        (x1, first)):
+        phi = scenario.spatial_freqs
+        same(steering(x, phi), fresh(steering, x.copy(), phi))
+        same(steering(x, phi), steering(x[None], phi)[0])
+        same(channel_matrix(scenario, x), fresh(channel_matrix, scenario, x.copy()))
+        objective = effective_weights(b, m, scenario)
+        for method in ("value", "gradient", "hessian"):
+            same(getattr(objective, method)(x),
+                 fresh(getattr(effective_weights(b, m, scenario), method), x.copy()))
+    phi = first.spatial_freqs
+    x1[2] += 0.25  # mutated in place: same array object, new point
+    same(steering(x1, phi), fresh(steering, x1.copy(), phi))
+
+    # a returned matrix is read-only; a stack of points bypasses the memo
+    with pytest.raises(ValueError):
+        steering(x1, phi)[0, 0] = 0.0
+    stack = np.stack([x1, x2])
+    formed = steering(stack, phi)
+    assert formed.flags.writeable
+    assert steering(stack, phi) is not formed
+    kept = steering(x2, phi)
+    steering(stack, phi)
+    assert steering(x2, phi) is kept
+
+
+def test_steering_memo_under_threads():
+    # threads that share the memo each get their own point's matrix; a key
+    # read apart from its matrix would hand one thread another's
+    rng = np.random.default_rng(15)
+    phi = rng.uniform(-2 * np.pi, 2 * np.pi, 6)
+    points = [rng.uniform(0, 5, 5) for _ in range(6)]
+    expected = [steering(x[None], phi)[0].tobytes() for x in points]
+    wrong = []
+
+    def hammer(i):
+        for _ in range(300):
+            if steering(points[i], phi).tobytes() != expected[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(len(points))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_kernel_matches_cosine_sum_references():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import is_feasible_positions
 from util import warmed_objective
 
-from fluidaircomp import driver
+from fluidaircomp import driver, model
 from fluidaircomp.apv_objective import ApvObjective
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
 from fluidaircomp.model import (InfeasibleStartError, PositionSet, Scenario, SolveReport,
@@ -251,6 +251,28 @@ def test_each_point_is_steered_once(method, monkeypatch):
     report = ao_optimize(scenario, AoOptions(method=method, max_rounds=8))
     assert report.rounds > 1
     assert len(calls) == len(points)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_exponential_per_distinct_point(method, monkeypatch):
+    # the channel matrix and every objective read one steering memo, so a
+    # run forms exp(j phi x) once per distinct x it evaluates
+    exponential = model._exponential
+    points = []
+
+    def counted(x, spatial_freqs):
+        assert x.ndim == 1
+        points.append(x.tobytes())
+        return exponential(x, spatial_freqs)
+
+    monkeypatch.setattr(model, "_exponential", counted)
+    monkeypatch.setattr(model, "_last_steering", (None, None))
+    scenario = sample_scenario(4, 6, -5.0, seed=2)
+    report = ao_optimize(scenario, AoOptions(method=method, max_rounds=8))
+    assert report.rounds > 1
+    assert len(points) == len(set(points))
+    if method == "fpa":
+        assert len(points) == 1
 
 
 @pytest.mark.parametrize("solve", [solve_pdip, solve_sca, solve_pgd],

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import grid_search_apv, qp_active_set_reference
+from oracles import grid_search_apv, newton_step_block, qp_active_set_reference
 from util import warmed_objective
 
 from fluidaircomp.apv_objective import effective_weights
 from fluidaircomp.closed_form import update_b, update_m
 from fluidaircomp.model import PositionSet, channel_matrix, sample_scenario
 from fluidaircomp.pdip import (_MAX_ITERS, InfeasibleStartError, SingularKktError,
-                               _newton_loop, newton_step, residuals, solve_pdip)
+                               _kkt_workspace, _newton_loop, newton_step, residuals,
+                               solve_pdip)
 from fluidaircomp.sca import QuadraticObjective
 
 
@@ -29,11 +30,31 @@ class Box2:
         return self.matrix @ x + self.offsets
 
 
-def step_at(objective, positions, x, nu, delta):
+class Indefinite:
+    """0.5 (x1^2 - x2^2): a constant indefinite Hessian diag(1, -1)."""
+
+    def value(self, x):
+        return 0.5 * (x[0] ** 2 - x[1] ** 2)
+
+    def gradient(self, x):
+        return np.array([x[0], -x[1]])
+
+    def hessian(self, x):
+        return np.diag([1.0, -1.0])
+
+
+def step_at(objective, positions, x, nu, delta, kkt=None):
     """newton_step at (x, nu) with the residuals for barrier parameter delta."""
     f = positions.values(x)
     return newton_step(objective, positions, x, f, nu,
-                       *residuals(objective, positions, x, f, nu, delta))
+                       *residuals(objective, positions, x, f, nu, delta), kkt)
+
+
+def block_step_at(objective, positions, x, nu, delta):
+    """newton_step_block's (dx, dnu, rho) at (x, nu), as step_at."""
+    f = positions.values(x)
+    return newton_step_block(objective, positions, x, f, nu,
+                             *residuals(objective, positions, x, f, nu, delta))
 
 
 def central_path_point_1d(target, delta):
@@ -115,16 +136,6 @@ def test_newton_step_escalates_damping_to_descent_direction():
     # engineered singular KKT system: indefinite diagonal Hessian whose
     # negative curvature exactly cancels the barrier curvature of the second
     # coordinate, forcing the damping escalation path
-    class Indefinite:
-        def value(self, x):
-            return 0.5 * (x[0] ** 2 - x[1] ** 2)
-
-        def gradient(self, x):
-            return np.array([x[0], -x[1]])
-
-        def hessian(self, x):
-            return np.diag([1.0, -1.0])
-
     cons = Box2()
     x = np.array([0.4, 0.5])
     f = cons.values(x)
@@ -150,6 +161,52 @@ def test_newton_step_escalates_damping_to_descent_direction():
     cap = 1e-3 / max(1.0, np.max(np.abs(dx)), np.max(np.abs(dnu)))
     scales = cap * 0.5 ** np.arange(40)
     assert any(norm(x + t * dx, nu + t * dnu) < base for t in scales)
+
+
+def assert_same_step(got, ref):
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
+
+
+def test_kkt_workspace_matches_a_fresh_block_system():
+    # newton_step writes H, -diag(nu) Df and the diagonal into a workspace
+    # that keeps Df^T; each step must equal the np.block assembly bit for bit
+    positions, objective, _ = warmed_objective(seed=5, n_antennas=4, n_users=3)
+    x = positions.interior()
+    nu = 0.1 / -positions.values(x)
+    delta = 50.0
+    ref = block_step_at(objective, positions, x, nu, delta)
+    assert ref[2] == 0.0
+    assert_same_step(step_at(objective, positions, x, nu, delta), ref)
+
+    # two steps in a row on one workspace: no block of the first goes stale
+    kkt = _kkt_workspace(positions.matrix)
+    assert_same_step(step_at(objective, positions, x, nu, delta, kkt), ref)
+    x2, nu2 = x + 0.5 * ref[0], nu + 0.5 * ref[1]
+    assert np.all(positions.values(x2) < 0) and np.all(nu2 > 0)
+    ref2 = block_step_at(objective, positions, x2, nu2, 2.0 * delta)
+    assert_same_step(step_at(objective, positions, x2, nu2, 2.0 * delta, kkt), ref2)
+    # an undamped step leaves the workspace equal to the whole block matrix,
+    # down to the -0.0 that -diag(f) holds off its diagonal
+    jac, f2 = positions.matrix, positions.values(x2)
+    block = np.block([[objective.hessian(x2), jac.T], [-nu2[:, None] * jac, -np.diag(f2)]])
+    assert kkt.tobytes() == block.tobytes()
+
+
+def test_kkt_workspace_matches_after_damping_escalation():
+    # the Box2 system of the escalation test needs rho > 0; the next step on
+    # the same workspace, at multipliers where the undamped system solves,
+    # must not keep the damped diagonal
+    cons, x, delta = Box2(), np.array([0.4, 0.5]), 2.0
+    nu = np.array([1.0, 0.25, 1.0, 0.25])
+    kkt = _kkt_workspace(cons.matrix)
+    ref = block_step_at(Indefinite(), cons, x, nu, delta)
+    assert ref[2] > 0.0
+    assert_same_step(step_at(Indefinite(), cons, x, nu, delta, kkt), ref)
+    nu2 = np.array([1.0, 1.0, 1.0, 1.0])
+    ref2 = block_step_at(Indefinite(), cons, x, nu2, delta)
+    assert ref2[2] == 0.0
+    assert_same_step(step_at(Indefinite(), cons, x, nu2, delta, kkt), ref2)
 
 
 def test_newton_step_gives_up_on_broken_oracle():

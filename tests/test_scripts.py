@@ -56,6 +56,19 @@ def test_cells_ledger_writes_and_compares_one_cell(tmp_path):
     assert sum(line.endswith("changed") for line in lines) == 2
 
 
+def test_ab_of_one_tree_against_itself_is_identical():
+    cell = "N10 K10 +10dB s0"
+    result = run_script("ab.py", str(ROOT), str(ROOT), "--method", "pdip",
+                        "--reps", "2", "--cell", cell)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 3
+    fields = lines[1].rsplit(maxsplit=4)
+    assert fields[0] == cell and fields[4] == "yes"
+    assert float(fields[1]) > 0 and float(fields[2]) > 0 and float(fields[3]) > 0
+    assert lines[2] == "all identical: yes"
+
+
 def test_reproduce_study_quick_writes_every_csv(tmp_path):
     result = run_script("reproduce_study.py", "--quick", "--out-dir", str(tmp_path))
     assert result.returncode == 0, result.stderr
