@@ -1,9 +1,10 @@
-"""Core system model: scenarios, the steering kernel, LoS channels, the exact MSE,
-and the report every position step returns.
+"""Core system model: scenarios, the steering kernel, LoS channels, the
+aggregation residual, the exact MSE, and the report every position step returns.
 
 The steering kernel is the library's one complex exponential, and it keeps
 the last matrix it formed for one point, so the channel matrix and the
-position objectives form one exponential per distinct x.
+position objectives form one exponential per distinct x. The MSE and the
+position objective g sum one residual kernel, so g + sigma2 ||m||^2 is the MSE.
 
 All positions and lengths are expressed in wavelength units, so the carrier
 wavelength never appears as a separate parameter.
@@ -158,6 +159,16 @@ def channel_matrix(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     return scenario.alphas * steering(x, scenario.spatial_freqs)
 
 
+def residual(b: np.ndarray, m: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Residuals r_k = m^H h_k b_k - 1, shape (..., K), of h of shape (..., N, K)."""
+    return (m.conj() @ h) * b - 1.0
+
+
+def sum_squares(r: np.ndarray) -> np.ndarray:
+    """sum_k |r_k|^2 over the last axis."""
+    return (r.real**2 + r.imag**2).sum(axis=-1)
+
+
 def mse(b: np.ndarray, m: np.ndarray, h: np.ndarray, sigma2: float) -> float:
     """Exact aggregation error sum_k |m^H h_k b_k - 1|^2 + sigma2 * ||m||^2
     over the (N, K) channel matrix h."""
@@ -168,8 +179,7 @@ def mse(b: np.ndarray, m: np.ndarray, h: np.ndarray, sigma2: float) -> float:
         raise ValueError("b has wrong length")
     if m.shape != (n,):
         raise ValueError("m has wrong length")
-    residual = (m.conj() @ h) * b - 1.0
-    return float(np.sum(np.abs(residual) ** 2) + sigma2 * np.sum(np.abs(m) ** 2))
+    return float(sum_squares(residual(b, m, h)) + sigma2 * np.sum(np.abs(m) ** 2))
 
 
 def noise_power(p0: float, snr_db: float) -> float:

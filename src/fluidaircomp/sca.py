@@ -53,9 +53,11 @@ def build_surrogate(objective: ApvObjective, anchor: np.ndarray) -> QuadraticObj
     grad g at the anchor come from the objective, so a caller that has just
     evaluated g there does not steer the weights again."""
     anchor = np.asarray(anchor, dtype=float)
-    w = np.abs(objective.coefficients)
     phi2 = objective.spatial_freqs ** 2
-    quad = np.diag(phi2 * (w.sum(axis=1) + 1.0) @ w) - (phi2[:, None] * w).T @ w
+    a = objective.alphas * np.abs(objective.b)
+    m_abs = np.abs(objective.m)
+    quad = (np.diag(m_abs * ((phi2 * a) @ (a * m_abs.sum() + 1.0)))
+            - (phi2 @ a**2) * np.outer(m_abs, m_abs))
     lin = objective.gradient(anchor) - 2.0 * quad @ anchor
     const = float(objective.value(anchor) - anchor @ quad @ anchor - lin @ anchor)
     return QuadraticObjective(quad=quad, lin=lin, const=const)
@@ -76,10 +78,10 @@ def solve_qp(qp: QuadraticObjective, positions: PositionSet,
     otherwise drops the most negative.
 
     qp must be a build_surrogate majorant. Its Q is diagonally dominant with
-    margin sum_k phi_k^2 |c_kn| on row n, so Q is positive definite unless a
-    coordinate has zero curvature; then Q's row is zero, q does not depend on
-    that coordinate, and the KKT system is singular but consistent. It is
-    then solved in the least-squares sense, which takes the shortest step.
+    margin |m_n| sum_k phi_k^2 alpha_k |b_k| on row n, so Q is positive definite
+    unless some m_n = 0; then Q's row is zero, q does not depend on x_n, and
+    the KKT system is singular but consistent. It is then solved in the
+    least-squares sense, which takes the shortest step.
     value_history holds q at x0 and after each step; the status is
     converged, max_iters or singular_kkt.
     """

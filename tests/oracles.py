@@ -54,10 +54,57 @@ def nudge(positions, x, blend=1e-3):
     return (1.0 - blend) * np.asarray(x, dtype=float) + blend * positions.interior()
 
 
+def coefficient_matrix(objective):
+    """The K x N coefficients c_kn = alpha_k b_k conj(m_n) of an objective.
+    The references here are written over the full matrix, which the library
+    never forms: it factors g through b, m and h(x)."""
+    return (objective.alphas[:, None] * objective.b[:, None]
+            * np.conj(objective.m)[None, :])
+
+
+def steered_reference(objective, x):
+    """The K x N steered weights v_kn = c_kn exp(j phi_k x_n) and their sums
+    u_k = sum_n v_kn = m^H h_k(x) b_k."""
+    x = np.asarray(x, dtype=float)
+    v = coefficient_matrix(objective) * np.exp(1j * objective.spatial_freqs[:, None] * x)
+    return v, v.sum(axis=-1)
+
+
+def kn_value(objective, x):
+    """g(x) = sum_k |u_k - 1|^2 from the K x N steered weights."""
+    r = steered_reference(objective, x)[1] - 1.0
+    return float(np.sum(r.real**2 + r.imag**2))
+
+
+def kn_gradient(objective, x):
+    """dg/dx_p = -2 sum_k phi_k Im(v_kp (conj(u_k) - 1))."""
+    v, u = steered_reference(objective, x)
+    return -2.0 * objective.spatial_freqs @ (v * (u.conj()[:, None] - 1.0)).imag
+
+
+def kn_hessian(objective, x):
+    """2 Re(V^T Phi^2 conj(V)) off the diagonal and
+    2 sum_k phi_k^2 (|v_kp|^2 - Re(v_kp (conj(u_k) - 1))) on it."""
+    v, u = steered_reference(objective, x)
+    phi2 = objective.spatial_freqs ** 2
+    hess = 2.0 * ((phi2[:, None] * v).T @ v.conj()).real
+    w = v * (u.conj()[:, None] - 1.0)
+    np.fill_diagonal(hess, 2.0 * phi2 @ (np.abs(v) ** 2 - w.real))
+    return hess
+
+
+def kn_majorant(objective):
+    """The SCA curvature Q = diag(sum_k phi_k^2 (sum_n |c_kn| + 1) |c_k|)
+    - |C|^T Phi^2 |C| from the K x N coefficients."""
+    w = np.abs(coefficient_matrix(objective))
+    phi2 = objective.spatial_freqs ** 2
+    return np.diag(phi2 * (w.sum(axis=1) + 1.0) @ w) - (phi2[:, None] * w).T @ w
+
+
 def polar(weights):
     """(|w|, ang) of the weights w_kn = conj(c_kn) = |w_kn| exp(j ang_kn),
     the polar view the cosine sums below are written in."""
-    c = weights.coefficients
+    c = coefficient_matrix(weights)
     return np.abs(c), -np.angle(c)
 
 
@@ -95,7 +142,7 @@ def cosine_value(weights, x):
     q = s[:, :, None] - s[:, None, :]
     pair = w[:, :, None] * w[:, None, :]
     return float(np.einsum("knl,knl->", pair, np.cos(q)) - 2.0 * np.sum(w * np.cos(s))
-                 + weights.coefficients.shape[0])
+                 + weights.b.size)
 
 
 def cosine_gradient(weights, x):
@@ -166,9 +213,9 @@ def cross_lower_bound(weights, k, anchor):
 def summed_bounds(weights, anchor):
     """Majorant of g(x) = sum_k |w_k^H a(x) - 1|^2 as sum_k (upper P_k - lower C_k + 1),
     returned as (quad, lin, const) of x^T quad x - lin^T x + const."""
-    n = weights.coefficients.shape[1]
+    n = weights.m.size
     quad, lin, const = np.zeros((n, n)), np.zeros(n), 0.0
-    for k in range(weights.coefficients.shape[0]):
+    for k in range(weights.b.size):
         a_k, v_k, c_k = power_upper_bound(weights, k, anchor)
         at_k, vt_k, ct_k = cross_lower_bound(weights, k, anchor)
         quad += a_k + at_k
@@ -229,7 +276,7 @@ def grid_search_apv(objective, aperture, min_spacing, resolution, chunk=262144):
 
     Returns (x_best, g_best) at the given grid resolution.
     """
-    n = objective.coefficients.shape[1]
+    n = objective.m.size
     if n > 3:
         raise ValueError("grid search only supports N <= 3")
     axis = feasible_grid_axis(aperture, resolution)

@@ -5,18 +5,16 @@ run 50 paired Monte Carlo trials each and dominate the runtime; every one of
 them is budgeted to finish within 10 minutes on a single core.
 """
 
-import multiprocessing
-import os
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
-from oracles import (cross_lower_bound, cross_term, fd_gradient,
+from oracles import (coefficient_matrix, cross_lower_bound, cross_term, fd_gradient,
                      grid_search_refined, power_term, power_upper_bound,
                      qp_active_set_reference, update_b_single)
+from trends import (array_size_sweep_shape, assert_monotone, snr_sweep_shape, trace_shape,
+                    user_count_sweep_shape)
 from util import random_feasible_positions, random_state, random_weights
 
 from fluidaircomp.apv_objective import effective_weights
@@ -28,8 +26,6 @@ from fluidaircomp.pdip import solve_pdip
 from fluidaircomp.pgd import project_feasible
 from fluidaircomp.sca import QuadraticObjective, build_surrogate
 
-MONOTONE_SLACK = 1e-9
-
 
 @contextmanager
 def criterion(num, description):
@@ -39,44 +35,6 @@ def criterion(num, description):
         print(f"FAIL  criterion {num}: {description}")
         raise
     print(f"PASS  criterion {num}: {description}")
-
-
-def assert_monotone(history):
-    hist = np.asarray(history)
-    assert np.all(np.diff(hist) <= MONOTONE_SLACK), "MSE increased along a run"
-
-
-def _paired_trial(args):
-    """(final MSE, rounds, trace) per method on one trial's scenario. A
-    spawned worker does not inherit pytest's warning filters, so it makes a
-    RuntimeWarning an error itself, as pyproject.toml does for the tests."""
-    warnings.simplefilter("error", RuntimeWarning)
-    methods, n, k, snr, seed, tol_mse, max_rounds = args
-    scenario = sample_scenario(n, k, snr, seed=seed)
-    results = []
-    for method in methods:
-        report = ao_optimize(scenario, AoOptions(
-            method=method, max_rounds=max_rounds, tol_mse=tol_mse))
-        assert_monotone(report.mse_history)
-        results.append((report.state.mse, report.rounds, report.mse_history))
-    return results
-
-
-def run_paired(methods, n, k, snr, trials, seed0, tol_mse, max_rounds):
-    """Final MSE, rounds, and traces per method on shared scenarios, in trial
-    order. The trials are independent, so they run on one pool of spawned
-    worker processes."""
-    cells = [(methods, n, k, snr, seed0 + trial, tol_mse, max_rounds)
-             for trial in range(trials)]
-    out = {m: {"mse": [], "rounds": [], "hist": []} for m in methods}
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, trials),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        for results in pool.map(_paired_trial, cells):
-            for method, (mse_val, rounds, hist) in zip(methods, results):
-                out[method]["mse"].append(mse_val)
-                out[method]["rounds"].append(rounds)
-                out[method]["hist"].append(hist)
-    return out
 
 
 def test_criterion_1_kkt_b_update_vs_brute_force():
@@ -140,7 +98,7 @@ def test_criterion_3_apv_objective_and_derivatives():
 
             direct = 0.0
             for k in range(k_users):
-                w = weights.coefficients[k].conj()
+                w = coefficient_matrix(weights)[k].conj()
                 inner = np.vdot(w, np.exp(1j * weights.spatial_freqs[k] * x))
                 assert abs(power_term(weights, k, x) - abs(inner) ** 2) <= 1e-10
                 assert abs(cross_term(weights, k, x) - 2 * inner.real) <= 1e-10
@@ -188,7 +146,7 @@ def test_criterion_4_sca_surrogate_soundness():
             assert np.all(surr_vals >= true_vals - 1e-8)
 
             for k in range(k_users):
-                w = weights.coefficients[k].conj()
+                w = coefficient_matrix(weights)[k].conj()
                 inner = np.exp(1j * weights.spatial_freqs[k] * samples) @ w.conj()
                 quad, lin, const = power_upper_bound(weights, k, anchor)
                 upper = (np.einsum("ij,jk,ik->i", samples, quad, samples)
@@ -256,44 +214,29 @@ def test_criterion_7_monotone_mse_across_methods():
                         assert_monotone(report.mse_history)
 
 
-def _flatten_round(history, frac=1e-3):
-    """First round whose MSE is within frac of the run's total improvement."""
-    hist = np.asarray(history)
-    threshold = hist[-1] + frac * (hist[0] - hist[-1])
-    return int(np.argmax(hist <= threshold))
-
-
 def test_criterion_8a_trace_shape():
     with criterion(8, "a: proposed trace flattens within the round budget, SCA later"):
         start = time.perf_counter()
-        runs = run_paired(("pdip", "sca"), n=10, k=100, snr=-10.0, trials=50,
-                          seed0=8100, tol_mse=0.0, max_rounds=100)
-        t_pdip = [_flatten_round(h) for h in runs["pdip"]["hist"]]
-        t_sca = [_flatten_round(h) for h in runs["sca"]["hist"]]
+        result = trace_shape()
+        t_pdip, t_sca, mse_means = result["t_pdip"], result["t_sca"], result["mse"]
         assert max(t_pdip) <= 100
         assert np.mean(t_pdip) <= 70  # converges within a few dozen rounds
         assert np.mean(t_sca) >= np.mean(t_pdip)
-        assert np.mean(runs["pdip"]["mse"]) <= np.mean(runs["sca"]["mse"])
+        assert mse_means["pdip"] <= mse_means["sca"]
         assert time.perf_counter() - start < 600
 
 
 def test_criterion_8b_snr_sweep_shape():
     with criterion(8, "b: MSE falls with SNR, proposed beats FPA, gap narrows"):
         start = time.perf_counter()
-        snrs = (-10.0, -5.0, 0.0, 5.0, 10.0)
-        means = {m: [] for m in METHODS}
-        for snr in snrs:
-            runs = run_paired(METHODS, n=10, k=10, snr=snr, trials=50,
-                              seed0=8200, tol_mse=1e-5, max_rounds=60)
-            for method in METHODS:
-                means[method].append(np.mean(runs[method]["mse"]))
+        result = snr_sweep_shape()
+        snrs, means, gap = result["snrs"], result["means"], result["gap"]
         for method in METHODS:
             curve = means[method]
             assert all(b < a for a, b in zip(curve, curve[1:])), \
                 f"{method} MSE not strictly decreasing in SNR: {curve}"
         for i in range(len(snrs)):
             assert means["pdip"][i] <= means["fpa"][i] + 1e-12
-        gap = [f - p for f, p in zip(means["fpa"], means["pdip"])]
         assert gap[-1] < gap[0]  # narrower at high SNR
         assert time.perf_counter() - start < 600
 
@@ -301,13 +244,8 @@ def test_criterion_8b_snr_sweep_shape():
 def test_criterion_8c_array_size_sweep_shape():
     with criterion(8, "c: MSE falls as the array grows, proposed beats FPA"):
         start = time.perf_counter()
-        sizes = (5, 10, 15)
-        means = {m: [] for m in ("pdip", "fpa")}
-        for n in sizes:
-            runs = run_paired(("pdip", "fpa"), n=n, k=10, snr=-10.0, trials=50,
-                              seed0=8300, tol_mse=1e-5, max_rounds=60)
-            for method in means:
-                means[method].append(np.mean(runs[method]["mse"]))
+        result = array_size_sweep_shape()
+        sizes, means = result["sizes"], result["means"]
         for method, curve in means.items():
             assert all(b < a for a, b in zip(curve, curve[1:])), \
                 f"{method} MSE not strictly decreasing in N: {curve}"
@@ -319,20 +257,14 @@ def test_criterion_8c_array_size_sweep_shape():
 def test_criterion_8d_user_count_sweep_shape():
     with criterion(8, "d: MSE rises with users, proposed stays ahead, gap widens"):
         start = time.perf_counter()
-        counts = (10, 50, 100)
-        means = {m: [] for m in ("pdip", "sca", "fpa")}
-        for k in counts:
-            runs = run_paired(("pdip", "sca", "fpa"), n=10, k=k, snr=-10.0,
-                              trials=50, seed0=8400, tol_mse=1e-5, max_rounds=60)
-            for method in means:
-                means[method].append(np.mean(runs[method]["mse"]))
+        result = user_count_sweep_shape()
+        counts, means, fpa_gap = result["counts"], result["means"], result["fpa_gap"]
         for method, curve in means.items():
             assert all(b > a for a, b in zip(curve, curve[1:])), \
                 f"{method} MSE not increasing in K: {curve}"
         for i in range(len(counts)):
             assert means["pdip"][i] <= means["sca"][i] * 1.005
             assert means["pdip"][i] < means["fpa"][i]
-        fpa_gap = [f - p for f, p in zip(means["fpa"], means["pdip"])]
         assert fpa_gap[-1] > fpa_gap[0]  # widens with K
         assert time.perf_counter() - start < 600
 

@@ -6,43 +6,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (cosine_gradient, cosine_hessian, cosine_value, cross_term,
-                     fd_gradient, fd_hessian, polar, power_term, steering_vector)
-from util import random_state, random_weights
+from oracles import (coefficient_matrix, cosine_gradient, cosine_hessian, cosine_value,
+                     cross_term, fd_gradient, fd_hessian, kn_gradient, kn_hessian,
+                     kn_majorant, kn_value, polar, power_term, steering_vector)
+from util import flat_objective, one_weight, random_state, random_weights
 
 from fluidaircomp import model
 from fluidaircomp.apv_objective import ApvObjective, effective_weights
-from fluidaircomp.model import channel_matrix, sample_scenario, steering
+from fluidaircomp.model import channel_matrix, mse, residual, sample_scenario, steering
+from fluidaircomp.sca import build_surrogate
 
 
 def _direct_inner(weights, k, x):
     """w_k^H a(x, theta_k) straight from the steering vector."""
-    w = weights.coefficients[k].conj()
+    w = coefficient_matrix(weights)[k].conj()
     return np.vdot(w, np.exp(1j * weights.spatial_freqs[k] * x))
 
 
+def _sums(objective, x):
+    """u_k = m^H h_k(x) b_k from the library's residual kernel."""
+    h = objective.alphas * steering(x, objective.spatial_freqs)
+    return residual(objective.b, objective.m, h) + 1.0
+
+
 def test_power_term_zero_weights():
-    weights = ApvObjective(np.zeros((2, 3)), np.ones(2))
-    assert power_term(weights, 0, np.array([0.0, 1.0, 2.0])) == 0.0
+    assert power_term(flat_objective(2, 3), 0, np.array([0.0, 1.0, 2.0])) == 0.0
 
 
 def test_power_term_single_antenna_position_free():
     rng = np.random.default_rng(4)
     weights = random_weights(rng, 1, 1)
-    expected = abs(weights.coefficients[0, 0]) ** 2
+    expected = abs(coefficient_matrix(weights)[0, 0]) ** 2
     for x in (0.0, 0.3, 0.9):
         assert power_term(weights, 0, np.array([x])) == pytest.approx(expected)
-        _, u = weights.steered(np.array([x]))
-        assert abs(u[0]) ** 2 == pytest.approx(expected)
+        assert abs(_sums(weights, np.array([x]))[0]) ** 2 == pytest.approx(expected)
 
 
 def test_cross_term_aligned_phase_maximum():
     phi = 2 * np.pi * np.cos(1.0)
     x1 = 0.7
-    weights = ApvObjective(np.array([[np.exp(-1j * phi * x1)]]), np.array([phi]))
+    weights = one_weight(np.exp(-1j * phi * x1), phi)
     assert cross_term(weights, 0, np.array([x1])) == pytest.approx(2.0)
-    _, u = weights.steered(np.array([x1]))
-    assert 2.0 * u[0].real == pytest.approx(2.0)
+    assert 2.0 * _sums(weights, np.array([x1]))[0].real == pytest.approx(2.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -52,7 +57,7 @@ def test_terms_match_direct_steering_evaluation(seed):
     k_users, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
     weights = random_weights(rng, k_users, n)
     x = rng.uniform(-1, n + 1, n)  # evaluation needs no feasibility
-    _, u = weights.steered(x)
+    u = _sums(weights, x)
     for k in range(k_users):
         inner = _direct_inner(weights, k, x)
         assert power_term(weights, k, x) == pytest.approx(abs(inner) ** 2, abs=1e-10)
@@ -89,7 +94,7 @@ def test_shared_evaluation_is_never_stale():
     stack = rng.uniform(0, 5, (3, 5))
 
     def fresh(method, point):
-        return getattr(ApvObjective(obj.coefficients, obj.spatial_freqs),
+        return getattr(ApvObjective(obj.b, obj.m, obj.alphas, obj.spatial_freqs),
                        method)(point.copy())
 
     def check(method, point):
@@ -200,24 +205,52 @@ def test_kernel_matches_cosine_sum_references():
 
 
 def test_residual_identity_with_effective_weights():
-    # g(x) == sum_k |w_k^H a - 1|^2 for weights built from (b, m, alphas)
-    rng = np.random.default_rng(21)
-    for _ in range(1000):
-        scenario = sample_scenario(4, 3, 0.0, seed=int(rng.integers(1 << 31)))
-        b, m = random_state(rng, scenario)
-        obj = effective_weights(b, m, scenario)
-        x = np.sort(rng.uniform(0, scenario.aperture, 4))
-        direct = sum(
-            abs(np.vdot(scenario.alphas[k] * np.conj(b[k]) * m,
-                        steering_vector(x, scenario.thetas[k])) - 1.0) ** 2
-            for k in range(3))
-        assert obj.value(x) == pytest.approx(direct, abs=1e-9 * (1 + direct))
+    # g(x) == sum_k |w_k^H a - 1|^2 for weights built from (b, m, alphas), and
+    # g(x) + sigma2 ||m||^2 is the MSE at h(x) bit for bit: both sum one
+    # kernel. The (N, K, SNR) cases add N = 1, K = 1 and 100 dB.
+    for n, k, snr_db, trials in ((4, 3, 0.0, 1000), (1, 3, 0.0, 200),
+                                 (4, 1, 0.0, 200), (4, 3, 100.0, 200)):
+        rng = np.random.default_rng(21)
+        for _ in range(trials):
+            scenario = sample_scenario(n, k, snr_db, seed=int(rng.integers(1 << 31)))
+            b, m = random_state(rng, scenario)
+            obj = effective_weights(b, m, scenario)
+            x = np.sort(rng.uniform(0, scenario.aperture, n))
+            direct = sum(
+                abs(np.vdot(scenario.alphas[user] * np.conj(b[user]) * m,
+                            steering_vector(x, scenario.thetas[user])) - 1.0) ** 2
+                for user in range(k))
+            assert obj.value(x) == pytest.approx(direct, abs=1e-9 * (1 + direct))
+            exact = mse(b, m, channel_matrix(scenario, x), scenario.sigma2)
+            assert obj.value(x) + scenario.sigma2 * np.sum(np.abs(m) ** 2) == exact
+
+
+def test_closed_forms_match_kn_references():
+    # the factored value, gradient, Hessian and SCA curvature against the
+    # K x N coefficient formulas; zero entries of b and of m are in the draws,
+    # and a zero m_n is the zero-curvature row that solve_qp meets
+    rng = np.random.default_rng(22)
+    zero_rows = 0
+    for trial in range(300):
+        k_users = 1 if trial % 5 == 0 else int(rng.integers(1, 7))
+        n = 1 if trial % 7 == 0 else int(rng.integers(1, 8))
+        obj = random_weights(rng, k_users, n, zero_frac=0.3 if trial % 2 else 0.0)
+        x = rng.uniform(-1, n + 1, n)
+        quad = build_surrogate(obj, x).quad
+        zero_rows += int(np.sum(np.diag(quad) == 0))
+        for got, ref in ((obj.value(x), kn_value(obj, x)),
+                         (obj.gradient(x), kn_gradient(obj, x)),
+                         (obj.hessian(x), kn_hessian(obj, x)),
+                         (quad, kn_majorant(obj))):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-10 * scale
+    assert zero_rows > 0
 
 
 def test_objectives_compare_and_hash_by_identity():
     rng = np.random.default_rng(5)
     obj = random_weights(rng, 2, 3)
-    twin = ApvObjective(obj.coefficients, obj.spatial_freqs)
+    twin = ApvObjective(obj.b, obj.m, obj.alphas, obj.spatial_freqs)
     assert obj == obj and not obj != obj
     assert obj != twin and not obj == twin
     assert hash(obj) == hash(obj)
@@ -225,7 +258,7 @@ def test_objectives_compare_and_hash_by_identity():
 
 
 def test_zero_weights_flat_objective():
-    obj = ApvObjective(np.zeros((3, 4)), np.ones(3))
+    obj = flat_objective(3, 4)
     x = np.array([0.0, 1.0, 2.0, 3.0])
     assert obj.value(x) == 3.0
     assert np.all(obj.gradient(x) == 0.0)
@@ -237,7 +270,7 @@ def test_zero_weights_flat_objective():
 def test_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     obj = random_weights(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
-    n = obj.coefficients.shape[1]
+    n = obj.m.size
     x = rng.uniform(0, n, n)
     grad = obj.gradient(x)
     approx = fd_gradient(obj.value, x, h=1e-6)
@@ -250,7 +283,7 @@ def test_gradient_matches_finite_differences(seed):
 def test_hessian_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     obj = random_weights(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
-    n = obj.coefficients.shape[1]
+    n = obj.m.size
     x = rng.uniform(0, n, n)
     hess = obj.hessian(x)
     assert np.allclose(hess, hess.T, atol=1e-12)
@@ -265,9 +298,8 @@ def test_translation_invariance_with_phase_rereference():
         obj = random_weights(rng, 3, 4)
         x = rng.uniform(0, 4, 4)
         shift = rng.uniform(-2, 2)
-        rotation = np.exp(-1j * obj.spatial_freqs[:, None] * shift)
-        obj_shifted = ApvObjective(coefficients=obj.coefficients * rotation,
-                                   spatial_freqs=obj.spatial_freqs)
+        rotation = np.exp(-1j * obj.spatial_freqs * shift)
+        obj_shifted = ApvObjective(obj.b * rotation, obj.m, obj.alphas, obj.spatial_freqs)
         assert obj_shifted.value(x + shift) == pytest.approx(obj.value(x), abs=1e-9)
 
 

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from oracles import (fd_gradient, fd_hessian, grid_search_apv,
+from oracles import (coefficient_matrix, fd_gradient, fd_hessian, grid_search_apv,
                      qp_active_set_reference)
-from util import warmed_objective
+from util import flat_objective, one_weight, warmed_objective
 
-from fluidaircomp.apv_objective import ApvObjective
 from fluidaircomp.model import PositionSet
 from fluidaircomp.pdip import solve_pdip
 from fluidaircomp.pgd import project_feasible
@@ -49,14 +48,14 @@ def test_grid_search_single_antenna_scan():
     # where the cosine peaks; exact location ang/phi is resolvable to the grid step
     phi = 2.0 * np.pi * np.cos(1.1)
     target = 0.37
-    obj = ApvObjective(np.array([[0.9 * np.exp(-1j * phi * target)]]), np.array([phi]))
+    obj = one_weight(0.9 * np.exp(-1j * phi * target), phi)
     x_best, g_best = grid_search_apv(obj, 1.0, 0.0, resolution=1e-3)
     assert x_best[0] == pytest.approx(target, abs=1e-3)
     assert g_best == pytest.approx(obj.value(np.array([target])), abs=1e-4)
 
 
 def test_grid_search_constant_objective_returns_first_point():
-    obj = ApvObjective(np.zeros((1, 2)), np.ones(1))
+    obj = flat_objective(1, 2)
     x_best, g_best = grid_search_apv(obj, 2.0, 0.5, resolution=0.1)
     assert g_best == 1.0
     assert np.allclose(x_best, [0.0, 0.5])
@@ -75,7 +74,7 @@ def test_grid_search_sandwich_with_pdip():
 
 
 def _gradient_bound(objective):
-    w = np.abs(objective.coefficients)
+    w = np.abs(coefficient_matrix(objective))
     phi = np.abs(objective.spatial_freqs)
     w0 = w.sum(axis=1)
     return float(np.sum(2 * phi * (w0**2 + w0)))
@@ -111,6 +110,6 @@ def test_qp_reference_agrees_with_pdip_on_surrogate_qp():
 
 
 def test_grid_search_rejects_large_n():
-    obj = ApvObjective(np.zeros((1, 4)), np.ones(1))
+    obj = flat_objective(1, 4)
     with pytest.raises(ValueError):
         grid_search_apv(obj, 4.0, 0.5, resolution=0.5)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_search_refined, project_feasible_numpy, project_reference
-from util import random_feasible_positions, random_weights, warmed_objective
+from util import flat_objective, random_feasible_positions, random_weights, warmed_objective
 
 import fluidaircomp.pgd as pgd
-from fluidaircomp.apv_objective import ApvObjective
+from fluidaircomp import apv_objective
 from fluidaircomp.driver import AoOptions, ao_optimize
 from fluidaircomp.model import PositionSet, sample_scenario
 from fluidaircomp.pgd import pava_nondecreasing, project_feasible, solve_pgd
@@ -125,7 +125,7 @@ def test_solve_accepts_projected_starts(n):
 
 def test_solve_stationary_interior_start_returns_immediately():
     # flat objective: gradient is zero
-    obj = ApvObjective(np.zeros((1, 2)), np.ones(1))
+    obj = flat_objective(1, 2)
     x0 = np.array([0.4, 1.3])
     report = solve_pgd(obj, PositionSet(2, 2.0, 0.5), x0)
     assert report.converged
@@ -218,17 +218,17 @@ def test_trial_step_falls_back_without_positive_curvature(monkeypatch):
 
 
 def test_trace_cell_takes_few_trials_per_iteration(monkeypatch):
-    # the trace cell (N=10, K=100, -10 dB, seed 0): each steered point is one
-    # trial, so restarting every ladder at _STEP0 costs about 3.4 per
-    # accepted iteration
-    steered = ApvObjective.steered
+    # the trace cell (N=10, K=100, -10 dB, seed 0): each point the objective
+    # evaluates is one trial, so restarting every ladder at _STEP0 costs
+    # about 3.4 per accepted iteration
+    residual = apv_objective.residual
     calls = []
 
-    def counted(self, x):
+    def counted(b, m, h):
         calls.append(1)
-        return steered(self, x)
+        return residual(b, m, h)
 
-    monkeypatch.setattr(ApvObjective, "steered", counted)
+    monkeypatch.setattr(apv_objective, "residual", counted)
     report = ao_optimize(sample_scenario(10, 100, -10.0, seed=0), AoOptions(method="pgd"))
     iterations = sum(report.inner_iterations)
     assert iterations > 1000

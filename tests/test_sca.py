@@ -4,7 +4,8 @@ from scipy.optimize import nnls
 
 from oracles import (cross_lower_bound, cross_term, grid_search_refined, nudge,
                      power_term, power_upper_bound, summed_bounds)
-from util import random_feasible_positions, random_state, random_weights, warmed_objective
+from util import (flat_objective, one_weight, random_feasible_positions, random_state,
+                  random_weights, warmed_objective)
 
 import fluidaircomp.sca
 from fluidaircomp.apv_objective import ApvObjective, effective_weights
@@ -18,7 +19,7 @@ def quad_eval(quad, lin, const, x):
 
 
 def test_bounds_zero_weights_give_zero_coefficients():
-    weights = ApvObjective(np.zeros((1, 3)), np.ones(1))
+    weights = flat_objective(1, 3)
     anchor = np.array([0.0, 1.0, 2.0])
     for build in (power_upper_bound, cross_lower_bound):
         parts = build(weights, 0, anchor)
@@ -34,7 +35,7 @@ def test_power_bound_tight_and_majorizing():
         n = int(rng.integers(1, 6))
         weights = random_weights(rng, int(rng.integers(1, 4)), n)
         anchor = rng.uniform(0, n, n)
-        for k in range(weights.coefficients.shape[0]):
+        for k in range(weights.b.size):
             quad, lin, const = power_upper_bound(weights, k, anchor)
             at_anchor = quad_eval(quad, lin, const, anchor)
             assert at_anchor == pytest.approx(power_term(weights, k, anchor),
@@ -50,7 +51,7 @@ def test_cross_bound_tight_and_minorizing():
         n = int(rng.integers(1, 6))
         weights = random_weights(rng, int(rng.integers(1, 4)), n)
         anchor = rng.uniform(0, n, n)
-        for k in range(weights.coefficients.shape[0]):
+        for k in range(weights.b.size):
             quad, lin, const = cross_lower_bound(weights, k, anchor)
             bound_at = float(-anchor @ quad @ anchor + 2 * lin @ anchor + 2 * const)
             assert bound_at == pytest.approx(cross_term(weights, k, anchor),
@@ -152,10 +153,11 @@ def test_qp_solve_is_certified_optimal():
         positions, objective, _ = warmed_objective(seed=seed, n_antennas=n,
                                                    n_users=int(rng.integers(1, 5)))
         if seed % 5 == 0:
-            # a zero column of c: g does not depend on that antenna
-            coefficients = objective.coefficients.copy()
-            coefficients[:, int(rng.integers(n))] = 0.0
-            objective = ApvObjective(coefficients, objective.spatial_freqs)
+            # a zero entry of m: g does not depend on that antenna
+            m = objective.m.copy()
+            m[int(rng.integers(n))] = 0.0
+            objective = ApvObjective(objective.b, m, objective.alphas,
+                                     objective.spatial_freqs)
         for anchor in qp_anchors(positions, rng):
             qp = build_surrogate(objective, anchor)
             report = solve_qp(qp, positions, anchor)
@@ -176,7 +178,7 @@ def test_solve_returns_fixed_point_immediately():
     # unconstrained minimizer is the anchor itself
     phi = 2.0 * np.pi * np.cos(1.2)
     x0 = np.array([0.6])
-    obj = ApvObjective(np.array([[0.8 * np.exp(-1j * phi * 0.6)]]), np.array([phi]))
+    obj = one_weight(0.8 * np.exp(-1j * phi * 0.6), phi)
     report = solve_sca(obj, PositionSet(1, 1.0, 0.0), x0)
     assert report.converged
     assert report.iterations == 1

@@ -69,6 +69,14 @@ def test_ab_of_one_tree_against_itself_is_identical():
     assert lines[2] == "all identical: yes"
 
 
+def test_margins_lists_every_trend_criterion():
+    # a full run takes about a minute; --help loads tests/trends.py
+    result = run_script("margins.py", "--help")
+    assert result.returncode == 0, result.stderr
+    for name in ("8a", "8b", "8c", "8d"):
+        assert name in result.stdout
+
+
 def test_reproduce_study_quick_writes_every_csv(tmp_path):
     result = run_script("reproduce_study.py", "--quick", "--out-dir", str(tmp_path))
     assert result.returncode == 0, result.stderr

@@ -9,13 +9,33 @@ from fluidaircomp.closed_form import update_b, update_m
 from fluidaircomp.model import Scenario, channel_matrix, sample_scenario
 
 
+def _random_phasors(rng, size):
+    return rng.uniform(0.2, 1.1, size) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+
+
 def random_weights(rng, n_users, n_antennas, zero_frac=0.0) -> ApvObjective:
-    mags = rng.uniform(0.05, 1.5, (n_users, n_antennas))
+    """An objective over random b, m, gains and spatial frequencies, whose
+    coefficients alpha_k |b_k| |m_n| lie in [0.02, 1.52]; with zero_frac, about
+    that share of the entries of b and of m is zero."""
+    b, m = _random_phasors(rng, n_users), _random_phasors(rng, n_antennas)
     if zero_frac:
-        mags[rng.random((n_users, n_antennas)) < zero_frac] = 0.0
-    phases = rng.uniform(-np.pi, np.pi, (n_users, n_antennas))
+        b[rng.random(n_users) < zero_frac] = 0.0
+        m[rng.random(n_antennas) < zero_frac] = 0.0
+    alphas = rng.uniform(0.5, 1.25, n_users)
     freqs = 2.0 * np.pi * np.cos(rng.uniform(1e-3, np.pi - 1e-3, n_users))
-    return ApvObjective(coefficients=mags * np.exp(-1j * phases), spatial_freqs=freqs)
+    return ApvObjective(b, m, alphas, freqs)
+
+
+def flat_objective(n_users, n_antennas) -> ApvObjective:
+    """b = 0, so g = K at every x."""
+    return ApvObjective(np.zeros(n_users, dtype=complex), np.ones(n_antennas, dtype=complex),
+                        np.ones(n_users), np.ones(n_users))
+
+
+def one_weight(c, phi) -> ApvObjective:
+    """N = K = 1 with the one coefficient c = alpha b conj(m): g(x) = |c e^{j phi x} - 1|^2."""
+    return ApvObjective(np.array([complex(c)]), np.ones(1, dtype=complex), np.ones(1),
+                        np.array([float(phi)]))
 
 
 def random_feasible_positions(rng, n_antennas, aperture, min_spacing) -> np.ndarray:
