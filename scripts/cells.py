@@ -9,14 +9,20 @@ snr-sweep-k10 at -10, 0 and 10 dB with seeds 0-2; array-n20 seeds 0-1), the
 (40, 200, -10 dB, seed 0) cell, and two N = K = 10 instances: 0 dB with seed
 8203 (a stalled pdip call) and 100 dB with seed 0. Per solve the file holds
 the final MSE as float hex, the rounds, the position step's iterations per
-round and the AO status. It is deterministic, so its git diff names the
-cells a change moved. It is a report, not a gate.
+round, the AO status and the work counter "steering", the number of
+single-point steering evaluations (complex exponentials) the solve formed.
+It is deterministic, so its git diff names the cells a change moved and the
+work it cut. It is a report, not a gate.
 """
 
 import argparse
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
+from fluidaircomp import apv_objective, model
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
 from fluidaircomp.model import sample_scenario
 
@@ -39,15 +45,38 @@ def _cells():
 CELLS = _cells()
 
 
+@contextmanager
+def steering_counter():
+    """Count the single-point steering calls made inside the block. The
+    library reads steering from model (in channel_matrix) and from
+    apv_objective, so both names are rebound, as bench/spans.py rebinds the
+    functions it traces, and restored afterwards."""
+    steering = model.steering
+    calls = []
+
+    def counted(x, spatial_freqs):
+        if np.ndim(x) == 1:
+            calls.append(1)
+        return steering(x, spatial_freqs)
+
+    model.steering = apv_objective.steering = counted
+    try:
+        yield calls
+    finally:
+        model.steering = apv_objective.steering = steering
+
+
 def run_cell(n, k, snr_db, seed, max_rounds, tol_mse) -> dict:
     scenario = sample_scenario(n, k, snr_db, seed)
     solves = {}
     for method in METHODS:
-        report = ao_optimize(scenario, AoOptions(method=method, max_rounds=max_rounds,
-                                                 tol_mse=tol_mse))
+        with steering_counter() as steering_calls:
+            report = ao_optimize(scenario, AoOptions(method=method, max_rounds=max_rounds,
+                                                     tol_mse=tol_mse))
         solves[method] = {"mse": report.state.mse.hex(), "rounds": report.rounds,
                           "status": report.status,
-                          "inner_iterations": report.inner_iterations}
+                          "inner_iterations": report.inner_iterations,
+                          "steering": len(steering_calls)}
     return {"cell": {"n": n, "k": k, "snr_db": snr_db, "seed": seed,
                      "max_rounds": max_rounds, "tol_mse": tol_mse},
             "solves": solves}
@@ -67,8 +96,9 @@ def dump(ledger: dict) -> str:
 
 def compare(old: dict, new: dict) -> list[str]:
     """Report lines: each solve's relative MSE move and whether its record is
-    unchanged, then the worst move per method, then every change of rounds
-    or status and every cell found in one ledger only."""
+    unchanged (over the keys both ledgers hold, so an older ledger without a
+    work counter still compares), then the worst move per method, then every
+    change of rounds or status and every cell found in one ledger only."""
     out = [f"{'cell':22s} {'method':6s} {'old mse':>12s} {'new mse':>12s} "
            f"{'rel move':>10s}  record"]
     worst = {}
@@ -84,8 +114,9 @@ def compare(old: dict, new: dict) -> list[str]:
                 continue
             a, b = float.fromhex(was["mse"]), float.fromhex(now["mse"])
             move = (b - a) / a
+            same = all(now[key] == was[key] for key in now.keys() & was.keys())
             out.append(f"{name:22s} {method:6s} {a:12.6g} {b:12.6g} {move:+10.2e}  "
-                       f"{'same' if now == was else 'changed'}")
+                       f"{'same' if same else 'changed'}")
             if method not in worst or abs(move) > abs(worst[method][0]):
                 worst[method] = (move, name)
             for key in ("rounds", "status"):

@@ -14,6 +14,9 @@ Re(T T^H) is Re(diag(conj(m)) S S^H diag(m)) with S = h diag(phi o |b|), and
 its diagonal is ||phi o alpha o b||^2 |m|^2. g + sigma2 ||m||^2 is model.mse
 at h(x) bit for bit.
 
+effective_weights builds the objective holding the caller's channel matrix at
+its x, and channel(x) hands h(x) back, so neither forms a second exponential.
+
 Bounding every cosine's curvature by 1 gives the SCA majorant of g, a
 convex quadratic x^T Q x + l^T x + d with, for a = alpha o |b|, the
 anchor-independent
@@ -39,9 +42,10 @@ class ApvObjective:
     over user k's gain alphas[k] and spatial frequency spatial_freqs[k].
 
     Accepts arbitrary real positions, feasible or not, in wavelengths; solvers
-    backtrack outside the feasible set. value, gradient and hessian share one
-    evaluation per point: the (h, r) of the last point asked about are kept,
-    keyed on its shape and bytes. Objectives compare and hash by identity.
+    backtrack outside the feasible set. value, gradient, hessian and channel
+    share one evaluation per point: the (h, r) of the last point asked about
+    are kept, keyed on its shape and bytes. Objectives compare and hash by
+    identity.
     """
 
     b: np.ndarray
@@ -50,17 +54,23 @@ class ApvObjective:
     spatial_freqs: np.ndarray
     _last: tuple = field(default=(None, None, None), init=False, repr=False)
 
-    def _point(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """h (..., N, K) and r (..., K) at x (..., N). The memo is replaced as
-        one tuple, so no reader sees one point's key with another's arrays."""
+    def _point(self, x: np.ndarray, h: np.ndarray | None = None):
+        """h (..., N, K) and r (..., K) at x (..., N); an h passed in is h(x).
+        The memo is replaced as one tuple, so no reader sees one point's key
+        with another's arrays."""
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
         last = self._last
         if last[0] != key:
-            h = self.alphas * steering(x, self.spatial_freqs)
+            if h is None:
+                h = self.alphas * steering(x, self.spatial_freqs)
             last = (key, h, residual(self.b, self.m, h))
             object.__setattr__(self, "_last", last)
         return last[1], last[2]
+
+    def channel(self, x: np.ndarray) -> np.ndarray:
+        """h(x), the (N, K) channel matrix at x; the last point's is reused."""
+        return self._point(x)[0]
 
     def value(self, x: np.ndarray) -> float | np.ndarray:
         """g(x); a (P, N) stack of points gives the (P,) array of values."""
@@ -83,11 +93,15 @@ class ApvObjective:
         return 2.0 * hess
 
 
-def effective_weights(b: np.ndarray, m: np.ndarray, scenario: Scenario) -> ApvObjective:
-    """g at this b and m over the scenario's gains and spatial frequencies.
+def effective_weights(b: np.ndarray, m: np.ndarray, scenario: Scenario,
+                      x: np.ndarray, h: np.ndarray) -> ApvObjective:
+    """g at this b and m over the scenario's gains and spatial frequencies,
+    holding the channel matrix h = channel_matrix(scenario, x) as its point.
 
-    The objective reads b and m as given and keys its memo on x alone, so
+    The objective reads b, m and h as given and keys its memo on x alone, so
     rebuild it after every change of b or m.
     """
-    return ApvObjective(np.asarray(b), np.asarray(m), scenario.alphas,
-                        scenario.spatial_freqs)
+    objective = ApvObjective(np.asarray(b), np.asarray(m), scenario.alphas,
+                             scenario.spatial_freqs)
+    objective._point(x, h)
+    return objective

@@ -4,11 +4,11 @@ Each round updates m (least squares), then b (per-user KKT), then the antenna
 positions with the selected solver. The closed-form updates are exact
 minimizers of their subproblems and the position step is guarded, so the MSE
 sequence is non-increasing by construction for every method. Only the
-position step moves x, so the driver forms the channel matrix H only when x
-moves (once per solve for fpa) and hands it to the m, b and MSE layers. H and
-the position objectives share one steering exponential per distinct x (see
-model.steering): H after an accepted step, and the next round's first
-evaluation, reuse the one the position step's last evaluation formed.
+position step moves x, so the driver holds one channel matrix H per distinct
+x and hands it to the m, b and MSE layers and to each round's position
+objective. It forms H once per solve, at the start; after an accepted step it
+reads H at the new x from the objective (ApvObjective.channel), which has
+usually just evaluated there.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from .apv_objective import effective_weights
 from .closed_form import update_b, update_m
-from .model import InfeasibleStartError, Scenario, TransceiverState, channel_matrix, mse
+from .model import (InfeasibleStartError, Scenario, TransceiverState, channel_matrix,
+                    check_integer, mse)
 from .pdip import solve_pdip
 from .pgd import solve_pgd
 from .sca import solve_sca
@@ -41,6 +42,7 @@ class AoOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        check_integer("max_rounds", self.max_rounds)
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
         if not (math.isfinite(self.tol_mse) and self.tol_mse >= 0):
@@ -101,7 +103,7 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
         b = update_b(m, h, scenario.powers)
 
         if solve is not None:
-            objective = effective_weights(b, m, scenario)
+            objective = effective_weights(b, m, scenario, x, h)
             try:
                 inner = solve(objective, positions, x)
             except InfeasibleStartError:
@@ -115,7 +117,7 @@ def ao_optimize(scenario: Scenario, options: AoOptions | None = None,
             # at the x it returns. A step that returns its start keeps H.
             if inner.value <= inner.value_history[0] and not np.array_equal(inner.x, x):
                 x = inner.x
-                h = channel_matrix(scenario, x)
+                h = objective.channel(x)
 
         mse_new = mse(b, m, h, scenario.sigma2)
         history.append(mse_new)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from itertools import islice
 
 from .driver import METHODS, AoOptions, ao_optimize
-from .model import noise_power, sample_scenario
+from .model import check_integer, noise_power, sample_scenario
 
 CSV_HEADER = ("axis", "value", "trial", "method", "mse", "rounds", "seconds", "seed")
 
@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ValueError(f"sweep values must be distinct: {self.values}")
         if self.sweep in ("n", "k") and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"{self.sweep} sweep values must be integers: {self.values}")
+        for name in ("n", "k", "trials", "seed", "workers"):
+            check_integer(name, getattr(self, name))
         sizes = (self.n, self.k) + (tuple(self.values) if self.sweep in ("n", "k") else ())
         if min(sizes) < 1:
             raise ValueError("antenna and user counts must be at least 1")

@@ -1,10 +1,9 @@
 """Core system model: scenarios, the steering kernel, LoS channels, the
 aggregation residual, the exact MSE, and the report every position step returns.
 
-The steering kernel is the library's one complex exponential, and it keeps
-the last matrix it formed for one point, so the channel matrix and the
-position objectives form one exponential per distinct x. The MSE and the
-position objective g sum one residual kernel, so g + sigma2 ||m||^2 is the MSE.
+The steering kernel is the library's one complex exponential, a pure
+function of x. The MSE and the position objective g sum one residual kernel,
+so g + sigma2 ||m||^2 is the MSE.
 
 All positions and lengths are expressed in wavelength units, so the carrier
 wavelength never appears as a separate parameter.
@@ -13,6 +12,7 @@ wavelength never appears as a separate parameter.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -117,38 +117,12 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _exponential(x: np.ndarray, spatial_freqs: np.ndarray) -> np.ndarray:
-    return np.exp(1j * (x[..., :, None] * spatial_freqs))
-
-
-# The last (key, matrix) that steering formed for one point x. A position
-# step evaluates g at the x it returns, and the driver's channel matrix and
-# the next round's objective then read that same x. The pair is replaced as
-# one tuple, so a reader never sees one point's key with another's matrix.
-_last_steering: tuple = (None, None)
-
-
 def steering(x: np.ndarray, spatial_freqs: np.ndarray) -> np.ndarray:
     """exp(j*x_n*phi_k) of shape (..., N, K) for positions x of shape (..., N)
     and spatial frequencies phi of shape (K,); the library's one complex
-    exponential. Every entry has unit modulus; x is in wavelengths.
-
-    For one point x (shape (N,)) the matrix is read-only, and the last one
-    formed is returned again while x and phi keep their bytes, so the channel
-    matrix and every objective share one exponential per distinct x. A stack
-    of points is formed afresh."""
-    global _last_steering
+    exponential. Every entry has unit modulus; x is in wavelengths."""
     x = np.asarray(x, dtype=float)
-    spatial_freqs = np.asarray(spatial_freqs, dtype=float)
-    if x.ndim != 1:
-        return _exponential(x, spatial_freqs)
-    key = (x.tobytes(), spatial_freqs.shape, spatial_freqs.tobytes())
-    last_key, out = _last_steering
-    if last_key != key:
-        out = _exponential(x, spatial_freqs)
-        out.flags.writeable = False
-        _last_steering = (key, out)
-    return out
+    return np.exp(1j * (x[..., :, None] * np.asarray(spatial_freqs, dtype=float)))
 
 
 def channel_matrix(scenario: Scenario, x: np.ndarray) -> np.ndarray:
@@ -228,6 +202,12 @@ def sample_scenario(
     )
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless value is an integer, a Python or a NumPy one."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 _MARGIN_FRAC = 1e-3  # interior grid's end margin, as a fraction of L
 
 
@@ -247,6 +227,7 @@ class PositionSet:
     min_spacing: float
 
     def __post_init__(self):
+        check_integer("n_antennas", self.n_antennas)
         if self.n_antennas < 1:
             raise ValueError("need at least one antenna")
         if not (math.isfinite(self.aperture) and math.isfinite(self.min_spacing)):

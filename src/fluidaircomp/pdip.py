@@ -80,21 +80,18 @@ def _kkt_workspace(jac: np.ndarray) -> np.ndarray:
 
 
 def newton_step(objective, positions: PositionSet, x: np.ndarray, f: np.ndarray,
-                nu: np.ndarray, r_dual: np.ndarray, r_cent: np.ndarray,
-                kkt: np.ndarray | None = None):
+                nu: np.ndarray, r_dual: np.ndarray, r_cent: np.ndarray, kkt: np.ndarray):
     """Solve the primal-dual Newton system at (x, nu), given f = f(x) and the
     residuals there, for (dx, dnu).
 
-    kkt is a workspace from an earlier step of the same run, or None for a
-    fresh one; a step writes only its H, -diag(nu) Df and diagonal blocks.
+    kkt is the run's workspace from _kkt_workspace(positions.matrix); a step
+    writes only its H, -diag(nu) Df and diagonal blocks.
     The objective Hessian may be indefinite or singular here; on a failed or
     inaccurate factorization a Levenberg-style rho*I term is added, escalating
     rho tenfold up to 5 times before giving up.
     """
     jac = positions.matrix
     n = x.size
-    if kkt is None:
-        kkt = _kkt_workspace(jac)
     hess = objective.hessian(x)
     hess_diag = hess.diagonal()
     kkt[:n, :n] = hess

@@ -277,7 +277,8 @@ def test_criterion_9_small_instance_global_sanity():
             report = ao_optimize(scenario, AoOptions(method="pdip",
                                                      max_rounds=60))
             state = report.state
-            obj = effective_weights(state.b, state.m, scenario)
+            obj = effective_weights(state.b, state.m, scenario, state.x,
+                                    channel_matrix(scenario, state.x))
             _, g_best = grid_search_refined(obj, scenario.aperture,
                                             scenario.min_spacing,
                                             resolution=0.01)

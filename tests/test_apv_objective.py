@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +8,6 @@ from oracles import (coefficient_matrix, cosine_gradient, cosine_hessian, cosine
                      kn_majorant, kn_value, polar, power_term, steering_vector)
 from util import flat_objective, one_weight, random_state, random_weights
 
-from fluidaircomp import model
 from fluidaircomp.apv_objective import ApvObjective, effective_weights
 from fluidaircomp.model import channel_matrix, mse, residual, sample_scenario, steering
 from fluidaircomp.sca import build_surrogate
@@ -117,75 +113,37 @@ def test_shared_evaluation_is_never_stale():
     check("value", x)
 
 
-def test_steering_memo_is_never_stale(monkeypatch):
-    # steering keeps the last matrix it formed for one point; whatever the
-    # order of points and frequencies, each result equals a fresh evaluation
+def test_objective_holding_a_channel_matches_one_that_formed_it():
+    # effective_weights hands the objective h at x; at x, after x moves and
+    # after x is mutated in place, each method's first answer equals that of
+    # an objective that formed h itself, and channel(x) is channel_matrix's h
     rng = np.random.default_rng(14)
-    x1, x2 = rng.uniform(0, 5, 5), rng.uniform(0, 5, 5)
-    first, second = sample_scenario(5, 4, 0.0, seed=1), sample_scenario(5, 4, 0.0, seed=2)
-    b, m = np.ones(4, dtype=complex), rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    scenario = sample_scenario(5, 4, 0.0, seed=1)
+    b, m = random_state(rng, scenario)
+    x, y = rng.uniform(0, 5, 5), rng.uniform(0, 5, 5)
 
-    def fresh(fn, *args):
-        # fn with an empty memo, which the call then leaves as it found it
-        with monkeypatch.context() as patch:
-            patch.setattr(model, "_last_steering", (None, None))
-            return fn(*args)
+    def held(point):
+        return effective_weights(b, m, scenario, point, channel_matrix(scenario, point))
 
-    def same(got, ref):
-        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    def same(objective, method, point):
+        formed = ApvObjective(b, m, scenario.alphas, scenario.spatial_freqs)
+        ref = getattr(formed, method)(point.copy())
+        assert np.asarray(getattr(objective, method)(point)).tobytes() == \
+            np.asarray(ref).tobytes()
 
-    for x, scenario in ((x1, first), (x2, first), (x1, first), (x1, second),
-                        (x1, first)):
-        phi = scenario.spatial_freqs
-        same(steering(x, phi), fresh(steering, x.copy(), phi))
-        same(steering(x, phi), steering(x[None], phi)[0])
-        same(channel_matrix(scenario, x), fresh(channel_matrix, scenario, x.copy()))
-        objective = effective_weights(b, m, scenario)
-        for method in ("value", "gradient", "hessian"):
-            same(getattr(objective, method)(x),
-                 fresh(getattr(effective_weights(b, m, scenario), method), x.copy()))
-    phi = first.spatial_freqs
-    x1[2] += 0.25  # mutated in place: same array object, new point
-    same(steering(x1, phi), fresh(steering, x1.copy(), phi))
-
-    # a returned matrix is read-only; a stack of points bypasses the memo
-    with pytest.raises(ValueError):
-        steering(x1, phi)[0, 0] = 0.0
-    stack = np.stack([x1, x2])
-    formed = steering(stack, phi)
-    assert formed.flags.writeable
-    assert steering(stack, phi) is not formed
-    kept = steering(x2, phi)
-    steering(stack, phi)
-    assert steering(x2, phi) is kept
-
-
-def test_steering_memo_under_threads():
-    # threads that share the memo each get their own point's matrix; a key
-    # read apart from its matrix would hand one thread another's
-    rng = np.random.default_rng(15)
-    phi = rng.uniform(-2 * np.pi, 2 * np.pi, 6)
-    points = [rng.uniform(0, 5, 5) for _ in range(6)]
-    expected = [steering(x[None], phi)[0].tobytes() for x in points]
-    wrong = []
-
-    def hammer(i):
-        for _ in range(300):
-            if steering(points[i], phi).tobytes() != expected[i]:
-                wrong.append(i)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(len(points))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
+    for method in ("value", "gradient", "hessian", "channel"):
+        objective = held(x)
+        for point in (x, y, x):
+            same(objective, method, point)
+        point = x.copy()
+        objective = held(point)
+        point[2] += 0.25  # mutated in place: same array object, new point
+        same(objective, method, point)
+    h = channel_matrix(scenario, x)
+    objective = effective_weights(b, m, scenario, x, h)
+    assert objective.channel(x) is h
+    for point in (y, x, y):
+        assert objective.channel(point).tobytes() == channel_matrix(scenario, point).tobytes()
 
 
 def test_kernel_matches_cosine_sum_references():
@@ -214,8 +172,10 @@ def test_residual_identity_with_effective_weights():
         for _ in range(trials):
             scenario = sample_scenario(n, k, snr_db, seed=int(rng.integers(1 << 31)))
             b, m = random_state(rng, scenario)
-            obj = effective_weights(b, m, scenario)
             x = np.sort(rng.uniform(0, scenario.aperture, n))
+            # built at the uniform grid, so the objective forms h(x) itself
+            grid = scenario.positions.uniform()
+            obj = effective_weights(b, m, scenario, grid, channel_matrix(scenario, grid))
             direct = sum(
                 abs(np.vdot(scenario.alphas[user] * np.conj(b[user]) * m,
                             steering_vector(x, scenario.thetas[user])) - 1.0) ** 2

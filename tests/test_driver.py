@@ -252,18 +252,19 @@ def test_each_point_is_steered_once(method, monkeypatch):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_one_exponential_per_distinct_point(method, monkeypatch):
-    # the channel matrix and every objective read one steering memo, so a
-    # run forms exp(j phi x) once per distinct x it evaluates
-    exponential = model._exponential
+    # the driver hands its channel matrix to each round's objective and reads
+    # the next one back from it, so a run forms exp(j phi x) once per
+    # distinct x it evaluates
+    steering = model.steering
     points = []
 
     def counted(x, spatial_freqs):
         assert x.ndim == 1
         points.append(x.tobytes())
-        return exponential(x, spatial_freqs)
+        return steering(x, spatial_freqs)
 
-    monkeypatch.setattr(model, "_exponential", counted)
-    monkeypatch.setattr(model, "_last_steering", (None, None))
+    monkeypatch.setattr(model, "steering", counted)
+    monkeypatch.setattr(apv_objective, "steering", counted)
     scenario = sample_scenario(4, 6, -5.0, seed=2)
     report = ao_optimize(scenario, AoOptions(method=method, max_rounds=8))
     assert report.rounds > 1
@@ -324,16 +325,24 @@ def test_guard_reads_the_solver_report(accept, monkeypatch):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_one_channel_matrix_per_distinct_x(method, monkeypatch):
-    # only the position step moves x, so the driver forms H at the start and
-    # again only when a step moves x; the m, b and MSE layers take it as given.
-    # On tight geometry every step returns its start, so H is formed once
-    # (pdip refuses that geometry before forming any)
-    formed, held = [], []
-    form = driver.channel_matrix
+    # only the position step moves x, so the driver holds a new H at the
+    # start and again only when a step moves x, each channel_matrix's H at
+    # its x; the m, b and MSE layers take it as given. The driver calls
+    # channel_matrix once, at the start, and reads every later H from the
+    # position objective. On tight geometry every step returns its start, so
+    # H is formed once (pdip refuses that geometry before forming any)
+    formed, held, calls = [], [], []
+    form, mse_of = driver.channel_matrix, driver.mse
 
     def counted(scenario, x):
-        formed.append(np.array(x))
+        calls.append(1)
         return form(scenario, x)
+
+    def counted_mse(b, m, h, sigma2):
+        # the driver hands the H it holds to mse at the start and every round
+        if not formed or h is not formed[-1]:
+            formed.append(h)
+        return mse_of(b, m, h, sigma2)
 
     def no_call(*args, **kwargs):
         raise AssertionError("channel_matrix called outside the driver")
@@ -347,25 +356,29 @@ def test_one_channel_matrix_per_distinct_x(method, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("fluidaircomp") and getattr(module, "channel_matrix", None) is form:
             monkeypatch.setattr(module, "channel_matrix", counted if module is driver else no_call)
+    monkeypatch.setattr(driver, "mse", counted_mse)
     for name in ("solve_pdip", "solve_sca", "solve_pgd"):
         monkeypatch.setattr(driver, name, spy(getattr(driver, name)))
     scenario = sample_scenario(4, 6, -5.0, seed=2)
     for tight in (False, True):
         formed.clear()
         held.clear()
+        calls.clear()
         if tight:
             scenario = replace(scenario, aperture=3 * scenario.min_spacing)
         if tight and method == "pdip":
             with pytest.raises(InfeasibleStartError):
                 ao_optimize(scenario, AoOptions(method=method, max_rounds=8))
-            assert formed == []
+            assert formed == [] and calls == []
             continue
         report = ao_optimize(scenario, AoOptions(method=method, max_rounds=8))
+        assert len(calls) == 1
         # the x the driver held, round by round, then the final one
         held.append(report.state.x)
         distinct = [x for i, x in enumerate(held)
                     if i == 0 or not np.array_equal(x, held[i - 1])]
         assert len(formed) == len(distinct)
-        assert all(np.array_equal(a, b) for a, b in zip(formed, distinct))
+        assert all(h.tobytes() == form(scenario, x).tobytes()
+                   for h, x in zip(formed, distinct))
         assert (len(formed) == 1) == (tight or method == "fpa")
         assert report.rounds > 1

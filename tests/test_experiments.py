@@ -10,9 +10,10 @@ import pytest
 import fluidaircomp.cli as cli
 import fluidaircomp.experiments as experiments
 from fluidaircomp.cli import cli_main
-from fluidaircomp.driver import METHODS
+from fluidaircomp.driver import METHODS, AoOptions
 from fluidaircomp.experiments import (CSV_HEADER, ExperimentConfig,
                                       default_out_path, parse_config, run_sweep)
+from fluidaircomp.model import PositionSet
 
 
 def tiny_config(**overrides):
@@ -76,6 +77,21 @@ def test_config_rejects_fractional_axis_values(sweep, values):
 def test_config_rejects_bad_sweeps(overrides):
     with pytest.raises(ValueError):
         tiny_config(**overrides)
+
+
+def test_counts_must_be_integers():
+    # a fractional count fails where it is built, not later in range() or in
+    # a random draw; NumPy integers are counts too
+    for name in ("n", "k", "trials", "seed", "workers", "max_rounds"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            tiny_config(**{name: 2.5})
+        assert getattr(tiny_config(**{name: np.int64(2)}), name) == 2
+    with pytest.raises(ValueError, match="max_rounds must be an integer"):
+        AoOptions(method="fpa", max_rounds=2.5)
+    assert AoOptions(method="fpa", max_rounds=np.int32(2)).max_rounds == 2
+    with pytest.raises(ValueError, match="n_antennas must be an integer"):
+        PositionSet(2.5, 3.0, 0.5)
+    assert PositionSet(np.int64(3), 3.0, 0.5).uniform().shape == (3,)
 
 
 def test_cli_rejects_bad_override_before_writing(tmp_path):

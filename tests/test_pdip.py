@@ -44,7 +44,10 @@ class Indefinite:
 
 
 def step_at(objective, positions, x, nu, delta, kkt=None):
-    """newton_step at (x, nu) with the residuals for barrier parameter delta."""
+    """newton_step at (x, nu) with the residuals for barrier parameter delta,
+    on the workspace kkt or a fresh one."""
+    if kkt is None:
+        kkt = _kkt_workspace(positions.matrix)
     f = positions.values(x)
     return newton_step(objective, positions, x, f, nu,
                        *residuals(objective, positions, x, f, nu, delta), kkt)
@@ -436,7 +439,7 @@ def round_one_objective(n_antennas, n_users, snr_db, seed):
     b = np.sqrt(scenario.powers).astype(complex)
     m = update_m(b, h, scenario.sigma2)
     b = update_b(m, h, scenario.powers)
-    return positions, effective_weights(b, m, scenario), x0
+    return positions, effective_weights(b, m, scenario, x0, h), x0
 
 
 def count_residuals(monkeypatch):

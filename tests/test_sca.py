@@ -9,7 +9,7 @@ from util import (flat_objective, one_weight, random_feasible_positions, random_
 
 import fluidaircomp.sca
 from fluidaircomp.apv_objective import ApvObjective, effective_weights
-from fluidaircomp.model import PositionSet, SolveReport, sample_scenario
+from fluidaircomp.model import PositionSet, SolveReport, channel_matrix, sample_scenario
 from fluidaircomp.pdip import solve_pdip
 from fluidaircomp.sca import build_surrogate, solve_qp, solve_sca
 
@@ -100,9 +100,10 @@ def test_surrogate_dominates_residual_sum():
     # points, with the tighter slack 1e-9
     for seed in range(10):
         scenario = sample_scenario(4, 3, 0.0, seed=seed)
-        obj = effective_weights(*random_state(rng, scenario), scenario)
+        b, m = random_state(rng, scenario)
         points = [random_feasible_positions(rng, 4, scenario.aperture, scenario.min_spacing)
                   for _ in range(201)]
+        obj = effective_weights(b, m, scenario, points[0], channel_matrix(scenario, points[0]))
         assert_tight_majorizer(obj, points[0], points[1:], slack=1e-9)
 
 

@@ -65,4 +65,4 @@ def warmed_objective(seed, n_antennas, n_users, snr_db=-5.0, rounds=2):
     for _ in range(rounds):
         m = update_m(b, h, scenario.sigma2)
         b = update_b(m, h, scenario.powers)
-    return scenario.positions, effective_weights(b, m, scenario), x
+    return scenario.positions, effective_weights(b, m, scenario, x, h), x
