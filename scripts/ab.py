@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python scripts/ab.py PARENT_TREE CHANGE_TREE --method pdip
     PYTHONPATH=src python scripts/ab.py A B --method sca --reps 3 --cell "N10 K100 -10dB s0"
+    PYTHONPATH=src python scripts/ab.py PARENT_TREE CHANGE_TREE --method all --reps 1
 
 Each tree is a checkout root that holds src/fluidaircomp, for example a copy
 of a commit made with `git archive`. Both are imported side by side under
@@ -12,7 +13,9 @@ tree that goes first alternating between repetitions, so both see about the
 same load. Per cell the script prints the median CPU time of each tree, the
 median over repetitions of the change/parent time ratio, and whether the two
 trees' results are identical: MSE history, positions, inner iterations and
-status, bit for bit.
+status, bit for bit. --method all runs the four methods in turn, prints one
+block per method headed "method M" and closed by "M identical: yes|no", and
+ends with whether all of them are identical.
 """
 
 import argparse
@@ -68,11 +71,24 @@ def compare_cell(libs, cell, method, reps):
             statistics.median(ratios), identical)
 
 
+def compare_method(libs, method, names, reps) -> bool:
+    """Print the table of one method over the named cells; True if every
+    cell's results are identical."""
+    print(f"{'cell':22s} {'parent s':>9s} {'change s':>9s} {'ratio':>7s}  identical")
+    all_identical = True
+    for name in names:
+        parent_s, change_s, ratio, identical = compare_cell(libs, CELLS[name], method, reps)
+        all_identical &= identical
+        print(f"{name:22s} {parent_s:9.4f} {change_s:9.4f} {ratio:7.3f}  "
+              f"{'yes' if identical else 'no'}")
+    return all_identical
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout root of the parent tree")
     parser.add_argument("change", type=Path, help="checkout root of the changed tree")
-    parser.add_argument("--method", required=True, choices=METHODS)
+    parser.add_argument("--method", required=True, choices=METHODS + ("all",))
     parser.add_argument("--reps", type=int, default=9,
                         help="timed calls per tree and cell (default 9)")
     parser.add_argument("--cell", action="append", choices=sorted(CELLS),
@@ -82,14 +98,16 @@ def main():
         parser.error("--reps must be at least 1")
 
     libs = (load_tree(args.parent, "ab_parent"), load_tree(args.change, "ab_change"))
-    print(f"{'cell':22s} {'parent s':>9s} {'change s':>9s} {'ratio':>7s}  identical")
-    all_identical = True
-    for name in args.cell or list(CELLS):
-        parent_s, change_s, ratio, identical = compare_cell(libs, CELLS[name],
-                                                            args.method, args.reps)
-        all_identical &= identical
-        print(f"{name:22s} {parent_s:9.4f} {change_s:9.4f} {ratio:7.3f}  "
-              f"{'yes' if identical else 'no'}")
+    names = args.cell or list(CELLS)
+    if args.method == "all":
+        all_identical = True
+        for method in METHODS:
+            print(f"method {method}")
+            identical = compare_method(libs, method, names, args.reps)
+            print(f"{method} identical: {'yes' if identical else 'no'}")
+            all_identical &= identical
+    else:
+        all_identical = compare_method(libs, args.method, names, args.reps)
     print(f"all identical: {'yes' if all_identical else 'no'}")
 
 

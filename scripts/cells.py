@@ -9,8 +9,10 @@ snr-sweep-k10 at -10, 0 and 10 dB with seeds 0-2; array-n20 seeds 0-1), the
 (40, 200, -10 dB, seed 0) cell, and two N = K = 10 instances: 0 dB with seed
 8203 (a stalled pdip call) and 100 dB with seed 0. Per solve the file holds
 the final MSE as float hex, the rounds, the position step's iterations per
-round, the AO status and the work counter "steering", the number of
-single-point steering evaluations (complex exponentials) the solve formed.
+round, the AO status and four work counters: "steering", the single-point
+steering evaluations (complex exponentials) the solve formed; "projections",
+the calls of pgd.project_feasible; "pava", the calls of
+pgd.pava_nondecreasing; and "newton_steps", the calls of pdip.newton_step.
 It is deterministic, so its git diff names the cells a change moved and the
 work it cut. It is a report, not a gate.
 """
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fluidaircomp import apv_objective, model
+from fluidaircomp import apv_objective, model, pdip, pgd
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
 from fluidaircomp.model import sample_scenario
 
@@ -45,38 +47,55 @@ def _cells():
 CELLS = _cells()
 
 
+# Each work counter: the modules whose attribute is rebound, the attribute,
+# and which calls count (None: every call). The library reads steering from
+# model (in channel_matrix) and from apv_objective, so both are rebound.
+COUNTERS = {
+    "steering": ((model, apv_objective), "steering", lambda x, *_: np.ndim(x) == 1),
+    "projections": ((pgd,), "project_feasible", None),
+    "pava": ((pgd,), "pava_nondecreasing", None),
+    "newton_steps": ((pdip,), "newton_step", None),
+}
+
+
+def _counting(function, counts, name, counts_call):
+    """function, adding one to counts[name] per call that counts_call accepts."""
+    def counted(*args):
+        if counts_call is None or counts_call(*args):
+            counts[name] += 1
+        return function(*args)
+    return counted
+
+
 @contextmanager
-def steering_counter():
-    """Count the single-point steering calls made inside the block. The
-    library reads steering from model (in channel_matrix) and from
-    apv_objective, so both names are rebound, as bench/spans.py rebinds the
-    functions it traces, and restored afterwards."""
-    steering = model.steering
-    calls = []
-
-    def counted(x, spatial_freqs):
-        if np.ndim(x) == 1:
-            calls.append(1)
-        return steering(x, spatial_freqs)
-
-    model.steering = apv_objective.steering = counted
+def work_counters():
+    """Count the calls of each COUNTERS entry made inside the block, by
+    rebinding module attributes as bench/spans.py rebinds the functions it
+    traces, and restore them afterwards. Yields the dict of counts."""
+    counts = dict.fromkeys(COUNTERS, 0)
+    restore = []
+    for name, (modules, attribute, counts_call) in COUNTERS.items():
+        counted = _counting(getattr(modules[0], attribute), counts, name, counts_call)
+        for module in modules:
+            restore.append((module, attribute, getattr(module, attribute)))
+            setattr(module, attribute, counted)
     try:
-        yield calls
+        yield counts
     finally:
-        model.steering = apv_objective.steering = steering
+        for module, attribute, function in restore:
+            setattr(module, attribute, function)
 
 
 def run_cell(n, k, snr_db, seed, max_rounds, tol_mse) -> dict:
     scenario = sample_scenario(n, k, snr_db, seed)
     solves = {}
     for method in METHODS:
-        with steering_counter() as steering_calls:
+        with work_counters() as counts:
             report = ao_optimize(scenario, AoOptions(method=method, max_rounds=max_rounds,
                                                      tol_mse=tol_mse))
         solves[method] = {"mse": report.state.mse.hex(), "rounds": report.rounds,
                           "status": report.status,
-                          "inner_iterations": report.inner_iterations,
-                          "steering": len(steering_calls)}
+                          "inner_iterations": report.inner_iterations, **counts}
     return {"cell": {"n": n, "k": k, "snr_db": snr_db, "seed": seed,
                      "max_rounds": max_rounds, "tol_mse": tol_mse},
             "solves": solves}

@@ -53,6 +53,13 @@ class ApvObjective:
     alphas: np.ndarray
     spatial_freqs: np.ndarray
     _last: tuple = field(default=(None, None, None), init=False, repr=False)
+    # conj(m) and phi o b, read by every gradient and Hessian
+    _m_conj: np.ndarray = field(init=False, repr=False)
+    _phi_b: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_m_conj", self.m.conj())
+        object.__setattr__(self, "_phi_b", self.spatial_freqs * self.b)
 
     def _point(self, x: np.ndarray, h: np.ndarray | None = None):
         """h (..., N, K) and r (..., K) at x (..., N); an h passed in is h(x).
@@ -80,12 +87,12 @@ class ApvObjective:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Analytic gradient of g at one point."""
         h, r = self._point(x)
-        return -2.0 * (self.m.conj() * (h @ (self.spatial_freqs * self.b * r.conj()))).imag
+        return -2.0 * (self._m_conj * (h @ (self._phi_b * r.conj()))).imag
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Analytic Hessian of g at one point (symmetric N x N)."""
         h, r = self._point(x)
-        t = self.m.conj()[:, None] * h * (self.spatial_freqs * self.b)
+        t = self._m_conj[:, None] * h * self._phi_b
         # Re(T T^H) is one real product of T's float view, whose rows
         # interleave Re and Im
         hess = t.view(float) @ t.view(float).T

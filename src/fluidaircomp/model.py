@@ -241,11 +241,20 @@ class PositionSet:
     def tolerance(self) -> float:
         return 1e-12 * (1.0 + self.aperture)
 
-    @property
+    @cached_property
     def slack(self) -> float:
         """The free length L - (N-1) L0, snapped to 0 within the tolerance."""
         slack = self.aperture - (self.n_antennas - 1) * self.min_spacing
         return 0.0 if abs(slack) <= self.tolerance else slack
+
+    @cached_property
+    def ramp(self) -> np.ndarray:
+        """The read-only (N,) spacing ramp (n-1) L0. Subtracting it maps the
+        spacing rows to monotonicity: x is feasible when x - ramp is
+        nondecreasing within [0, slack]."""
+        ramp = self.min_spacing * np.arange(self.n_antennas)
+        ramp.flags.writeable = False
+        return ramp
 
     @cached_property
     def matrix(self) -> np.ndarray:

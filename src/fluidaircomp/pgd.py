@@ -2,7 +2,11 @@
 
 The feasible set (ordered positions in [0, L] with minimum spacing L0) maps to
 a bounded isotonic set under z_n = x_n - (n-1)*L0, so the exact Euclidean
-projection is pool-adjacent-violators followed by clipping.
+projection is pool-adjacent-violators followed by clipping. A z that is
+already nondecreasing skips PAVA and is only clipped: PAVA pools strict
+violations only, so it would return that z bit for bit. Most infeasible trial
+points are of this kind, since a short step keeps the antennas in order and
+leaves the box only at an end.
 
 Each Armijo ladder starts at the Barzilai-Borwein step of the previous accepted
 iteration (the BB2 step s^T y / y^T y, capped at _STEP0), the spectral
@@ -70,25 +74,21 @@ def project_feasible(v: np.ndarray, positions: PositionSet) -> np.ndarray:
     bounded isotonic regression is then unbounded isotonic regression clipped
     into the box [0, slack], which stays monotone so no re-pooling is needed.
     Feasible inputs are returned unchanged, so re-projection is the identity
-    up to the last ulp of the ramp round trip.
+    up to the last ulp of the ramp round trip. PAVA pools only where some
+    y_i > y_{i+1}, so a shifted input y with every y_i <= y_{i+1} is returned
+    by it bit for bit; such a y is clipped directly, and PAVA runs only on the
+    other inputs.
     """
     v = np.asarray(v, dtype=float)
     upper = positions.slack
-    ramp = positions.min_spacing * np.arange(v.size)
-    y = (v - ramp).tolist()
-    if (y[0] >= 0.0 and y[-1] <= upper
-            and all(b - a >= 0.0 for a, b in zip(y, y[1:]))):
-        return v.copy()
-    return np.clip(pava_nondecreasing(y), 0.0, upper) + ramp
-
-
-def _trial_step(s: np.ndarray, y: np.ndarray) -> float:
-    """The BB2 step s^T y / y^T y capped at _STEP0, or _STEP0 if s^T y <= 0.
-
-    s and y are the changes in x and in grad g over the last accepted step.
-    """
-    sy = float(s @ y)
-    return min(_STEP0, sy / float(y @ y)) if sy > 0.0 else _STEP0
+    ramp = positions.ramp
+    y = v - ramp
+    if (y[:-1] <= y[1:]).all():
+        if y[0] >= 0.0 and y[-1] <= upper:
+            return v.copy()
+    else:
+        y = pava_nondecreasing(y)
+    return y.clip(0.0, upper) + ramp
 
 
 def solve_pgd(objective: ApvObjective, positions: PositionSet,
@@ -110,25 +110,34 @@ def solve_pgd(objective: ApvObjective, positions: PositionSet,
     g_cur = objective.value(x)
     history = [g_cur]
     status = "max_iters"
-    x_prev = grad_prev = None
+    grad_prev = None
     for _ in range(_MAX_ITERS):
         grad = objective.gradient(x)
-        gamma = _STEP0 if x_prev is None else _trial_step(x - x_prev, grad - grad_prev)
+        gamma = _STEP0
+        if grad_prev is not None:
+            # the BB2 step s^T y / y^T y over the last accepted step s and the
+            # change y in the gradient, capped at _STEP0; ndarray.dot is the
+            # BLAS dot that @ calls, with less dispatch per call
+            y = grad - grad_prev
+            sy = float(step.dot(y))
+            if sy > 0.0:
+                gamma = min(_STEP0, sy / float(y.dot(y)))
         for _ in range(_MAX_BACKTRACKS):
             x_new = project_feasible(x - gamma * grad, positions)
             step = x_new - x
-            if (_STEP0 / gamma) * math.sqrt(step @ step) < _TOL_X:
+            if (_STEP0 / gamma) * math.sqrt(step.dot(step)) < _TOL_X:
                 status = "converged"
                 break
             g_new = objective.value(x_new)
-            if g_new <= g_cur - _ARMIJO * float(grad @ (x - x_new)):
+            # grad^T step is the negated linearized decrease grad^T (x - x_new)
+            if g_new <= g_cur + _ARMIJO * float(grad.dot(step)):
                 break
             gamma *= _SHRINK
         else:
             status = "no_decrease"
         if status != "max_iters":
             break
-        x_prev, grad_prev = x, grad
+        grad_prev = grad
         x = x_new
         g_cur = g_new
         history.append(g_cur)

@@ -100,6 +100,40 @@ def test_projection_bitwise_equals_numpy_reference():
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
+def test_monotone_inputs_leaving_the_box_are_only_clipped(monkeypatch):
+    # ramp-shifted inputs that are already nondecreasing but leave [0, slack]
+    # at one end or both skip PAVA; the clip alone must give the reference's
+    # bits, which run PAVA on them
+    def no_pava(y):
+        raise AssertionError("PAVA ran on a nondecreasing input")
+
+    monkeypatch.setattr(pgd, "pava_nondecreasing", no_pava)
+    rng = np.random.default_rng(7)
+    for trial in range(4000):
+        n = int(rng.integers(1, 41))
+        spacing = 0.5 if trial % 2 else 0.0
+        length = float(rng.uniform((n - 1) * spacing + 0.5, 2 * n))
+        positions = PositionSet(n, length, spacing)
+        y = np.sort(rng.uniform(0.0, positions.slack, n))
+        if trial % 5 == 0:  # ties on exact grids, inside the box and below it
+            y = np.floor(y)
+        end = trial % 3 if n > 1 else trial % 2  # 0: below 0, 1: above slack, 2: both
+        below = int(rng.integers(1, n if end == 2 else n + 1)) if end != 1 else 0
+        if below:
+            y[:below] = np.sort(-rng.integers(1, 5, below) / 2.0 if trial % 5 == 0
+                                else -rng.uniform(0.01, 2.0, below))
+        above = int(rng.integers(1, n - below + 1)) if end != 0 else 0
+        if above:
+            y[n - above:] = positions.slack + np.sort(rng.uniform(0.01, 2.0, above))
+        v = y + positions.ramp
+        shifted = v - positions.ramp
+        assert np.all(shifted[:-1] <= shifted[1:])
+        assert shifted[0] < 0.0 or shifted[-1] > positions.slack
+        out = project_feasible(v, positions)
+        ref = project_feasible_numpy(v, length, spacing)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
 def test_projection_infeasible_geometry_raises():
     with pytest.raises(ValueError):
         project_feasible(np.zeros(4), PositionSet(4, 1.0, 0.5))
@@ -232,6 +266,7 @@ def test_trace_cell_takes_few_trials_per_iteration(monkeypatch):
     report = ao_optimize(sample_scenario(10, 100, -10.0, seed=0), AoOptions(method="pgd"))
     iterations = sum(report.inner_iterations)
     assert iterations > 1000
+    assert len(calls) >= iterations
     assert len(calls) / iterations <= 1.5
 
 

@@ -37,6 +37,13 @@ def test_cells_ledger_writes_and_compares_one_cell(tmp_path):
     for method, solve in solves.items():
         assert float.fromhex(solve["mse"]) > 0
         assert len(solve["inner_iterations"]) == (0 if method == "fpa" else solve["rounds"])
+        for counter in ("steering", "projections", "pava", "newton_steps"):
+            assert isinstance(solve[counter], int) and solve[counter] >= 0
+    # every pgd iteration projects at least one trial point, and only pdip
+    # takes Newton steps
+    assert solves["pgd"]["projections"] >= sum(solves["pgd"]["inner_iterations"])
+    assert solves["pgd"]["pava"] <= solves["pgd"]["projections"]
+    assert solves["pdip"]["newton_steps"] > 0 and solves["fpa"]["newton_steps"] == 0
 
     # a rerun reproduces the file; against an edited copy it names the moves
     solves["pdip"]["mse"] = (float.fromhex(solves["pdip"]["mse"]) * 0.5).hex()
@@ -67,6 +74,21 @@ def test_ab_of_one_tree_against_itself_is_identical():
     assert fields[0] == cell and fields[4] == "yes"
     assert float(fields[1]) > 0 and float(fields[2]) > 0 and float(fields[3]) > 0
     assert lines[2] == "all identical: yes"
+
+
+def test_ab_of_all_methods_prints_one_block_each():
+    cell = "N10 K10 +10dB s0"
+    result = run_script("ab.py", str(ROOT), str(ROOT), "--method", "all",
+                        "--reps", "1", "--cell", cell)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 4 * 4 + 1
+    for block, method in zip(range(0, 16, 4), ("pdip", "sca", "pgd", "fpa")):
+        assert lines[block] == f"method {method}"
+        assert lines[block + 1].split()[0] == "cell"
+        assert lines[block + 2].startswith(cell) and lines[block + 2].endswith("yes")
+        assert lines[block + 3] == f"{method} identical: yes"
+    assert lines[-1] == "all identical: yes"
 
 
 def test_margins_lists_every_trend_criterion():
