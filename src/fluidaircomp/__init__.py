@@ -8,7 +8,7 @@ from .model import (PositionSet, Scenario, SolveReport, TransceiverState, channe
                     mse, sample_scenario, steering)
 from .pdip import solve_pdip
 from .pgd import project_feasible, solve_pgd
-from .sca import QuadraticObjective, build_surrogate, solve_sca
+from .sca import build_surrogate, solve_sca
 
 __all__ = [
     "ApvObjective", "effective_weights", "update_b", "update_m",
@@ -16,7 +16,6 @@ __all__ = [
     "ExperimentConfig", "parse_config", "run_sweep",
     "PositionSet", "Scenario", "TransceiverState",
     "channel_matrix", "mse", "sample_scenario", "steering",
-    "QuadraticObjective", "SolveReport", "solve_pdip",
-    "project_feasible", "solve_pgd",
+    "SolveReport", "solve_pdip", "project_feasible", "solve_pgd",
     "build_surrogate", "solve_sca",
 ]

@@ -14,8 +14,10 @@ Re(T T^H) is Re(diag(conj(m)) S S^H diag(m)) with S = h diag(phi o |b|), and
 its diagonal is ||phi o alpha o b||^2 |m|^2. g + sigma2 ||m||^2 is model.mse
 at h(x) bit for bit.
 
-effective_weights builds the objective holding the caller's channel matrix at
-its x, and channel(x) hands h(x) back, so neither forms a second exponential.
+The objective answers one point x (N,); a stack xs of points is scored by
+sum_squares(residual(b, m, alphas * steering(xs, phi))), whose kernels take
+h of shape (..., N, K). effective_weights builds the objective holding the
+caller's h at its x, and channel(x) hands h(x) back: no second exponential.
 
 Bounding every cosine's curvature by 1 gives the SCA majorant of g, a
 convex quadratic x^T Q x + l^T x + d with, for a = alpha o |b|, the
@@ -41,11 +43,10 @@ class ApvObjective:
     """Evaluation oracle for g(x) and its derivatives at fixed b (K,) and m (N,),
     over user k's gain alphas[k] and spatial frequency spatial_freqs[k].
 
-    Accepts arbitrary real positions, feasible or not, in wavelengths; solvers
-    backtrack outside the feasible set. value, gradient, hessian and channel
-    share one evaluation per point: the (h, r) of the last point asked about
-    are kept, keyed on its shape and bytes. Objectives compare and hash by
-    identity.
+    Takes one point x (N,) at a time, feasible or not, in wavelengths; solvers
+    backtrack outside the feasible set, and another shape raises ValueError.
+    value, gradient, hessian and channel share the (h, r) of the last point
+    asked about, keyed on its bytes. Objectives compare and hash by identity.
     """
 
     b: np.ndarray
@@ -62,11 +63,12 @@ class ApvObjective:
         object.__setattr__(self, "_phi_b", self.spatial_freqs * self.b)
 
     def _point(self, x: np.ndarray, h: np.ndarray | None = None):
-        """h (..., N, K) and r (..., K) at x (..., N); an h passed in is h(x).
-        The memo is replaced as one tuple, so no reader sees one point's key
-        with another's arrays."""
+        """h (N, K) and r (K,) at x (N,); an h passed in is h(x). The memo is
+        replaced as one tuple, so no reader sees a key with another's arrays."""
         x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
+        if x.shape != self.m.shape:
+            raise ValueError(f"x must have shape {self.m.shape}, got {x.shape}")
+        key = x.tobytes()
         last = self._last
         if last[0] != key:
             if h is None:
@@ -79,18 +81,17 @@ class ApvObjective:
         """h(x), the (N, K) channel matrix at x; the last point's is reused."""
         return self._point(x)[0]
 
-    def value(self, x: np.ndarray) -> float | np.ndarray:
-        """g(x); a (P, N) stack of points gives the (P,) array of values."""
-        g = sum_squares(self._point(x)[1])
-        return float(g) if g.ndim == 0 else g
+    def value(self, x: np.ndarray) -> float:
+        """g(x)."""
+        return float(sum_squares(self._point(x)[1]))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient of g at one point."""
+        """Analytic gradient of g."""
         h, r = self._point(x)
         return -2.0 * (self._m_conj * (h @ (self._phi_b * r.conj()))).imag
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Analytic Hessian of g at one point (symmetric N x N)."""
+        """Analytic Hessian of g (symmetric N x N)."""
         h, r = self._point(x)
         t = self._m_conj[:, None] * h * self._phi_b
         # Re(T T^H) is one real product of T's float view, whose rows

@@ -1,16 +1,13 @@
 """Closed-form coordinate updates for the transmit coefficients and the decoder.
 
 Both take the (N, K) channel matrix h, whose k-th column is user k's channel
-at the current positions.
+at the current positions. Neither holds an absolute threshold: scaling every
+P_k and sigma2 by 4^j scales b by 2^j and m by 2^-j, exactly short of overflow.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Below this magnitude of m^H h_k the b subproblem is degenerate (any feasible
-# b_k is optimal); we return 0 deterministically.
-ZERO_CHANNEL_TOL = 1e-12
 
 
 def update_b(m: np.ndarray, h: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -18,14 +15,14 @@ def update_b(m: np.ndarray, h: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
     The multiplier max(|c|/sqrt(P) - |c|^2, 0) with c = m^H h_k either leaves
     the unconstrained inverse 1/c untouched or scales it back onto the power
-    sphere.
+    sphere, and b_k = 0 where c = 0 exactly (every feasible b_k is optimal).
     """
     c = m.conj() @ h  # m^H h_k per user
     mag = np.abs(c)
     mu = np.maximum(mag / np.sqrt(powers) - mag**2, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         b = np.conj(c) / (mag**2 + mu)
-    b[mag < ZERO_CHANNEL_TOL] = 0j
+    b[mag == 0.0] = 0j
     return b
 
 

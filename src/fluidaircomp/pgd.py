@@ -77,11 +77,13 @@ def project_feasible(v: np.ndarray, positions: PositionSet) -> np.ndarray:
     up to the last ulp of the ramp round trip. PAVA pools only where some
     y_i > y_{i+1}, so a shifted input y with every y_i <= y_{i+1} is returned
     by it bit for bit; such a y is clipped directly, and PAVA runs only on the
-    other inputs.
+    other inputs. Raises ValueError unless v has shape (N,).
     """
     v = np.asarray(v, dtype=float)
-    upper = positions.slack
     ramp = positions.ramp
+    if v.shape != ramp.shape:
+        raise ValueError(f"v must have shape {ramp.shape}, got {v.shape}")
+    upper = positions.slack
     y = v - ramp
     if (y[:-1] <= y[1:]).all():
         if y[0] >= 0.0 and y[-1] <= upper:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force (dense grids, exhaustive active-set
 enumeration, finite differences) and shares no formula code with the modules it
-checks beyond the core data types.
+checks beyond the core data types, and beyond the model kernels with which
+stacked_values scores the grid searches' blocks of points.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from fluidaircomp.model import PositionSet
+from fluidaircomp.model import PositionSet, residual, steering, sum_squares
 
 
 def fd_gradient(fun, x, h=1e-6):
@@ -62,43 +63,11 @@ def coefficient_matrix(objective):
             * np.conj(objective.m)[None, :])
 
 
-def steered_reference(objective, x):
-    """The K x N steered weights v_kn = c_kn exp(j phi_k x_n) and their sums
-    u_k = sum_n v_kn = m^H h_k(x) b_k."""
-    x = np.asarray(x, dtype=float)
-    v = coefficient_matrix(objective) * np.exp(1j * objective.spatial_freqs[:, None] * x)
-    return v, v.sum(axis=-1)
-
-
-def kn_value(objective, x):
-    """g(x) = sum_k |u_k - 1|^2 from the K x N steered weights."""
-    r = steered_reference(objective, x)[1] - 1.0
-    return float(np.sum(r.real**2 + r.imag**2))
-
-
-def kn_gradient(objective, x):
-    """dg/dx_p = -2 sum_k phi_k Im(v_kp (conj(u_k) - 1))."""
-    v, u = steered_reference(objective, x)
-    return -2.0 * objective.spatial_freqs @ (v * (u.conj()[:, None] - 1.0)).imag
-
-
-def kn_hessian(objective, x):
-    """2 Re(V^T Phi^2 conj(V)) off the diagonal and
-    2 sum_k phi_k^2 (|v_kp|^2 - Re(v_kp (conj(u_k) - 1))) on it."""
-    v, u = steered_reference(objective, x)
-    phi2 = objective.spatial_freqs ** 2
-    hess = 2.0 * ((phi2[:, None] * v).T @ v.conj()).real
-    w = v * (u.conj()[:, None] - 1.0)
-    np.fill_diagonal(hess, 2.0 * phi2 @ (np.abs(v) ** 2 - w.real))
-    return hess
-
-
-def kn_majorant(objective):
-    """The SCA curvature Q = diag(sum_k phi_k^2 (sum_n |c_kn| + 1) |c_k|)
-    - |C|^T Phi^2 |C| from the K x N coefficients."""
-    w = np.abs(coefficient_matrix(objective))
-    phi2 = objective.spatial_freqs ** 2
-    return np.diag(phi2 * (w.sum(axis=1) + 1.0) @ w) - (phi2[:, None] * w).T @ w
+def stacked_values(objective, points):
+    """g at each row of a (P, N) stack of points, by the model kernels over
+    h of shape (P, N, K); the objective itself answers one point."""
+    h = objective.alphas * steering(points, objective.spatial_freqs)
+    return sum_squares(residual(objective.b, objective.m, h))
 
 
 def polar(weights):
@@ -247,11 +216,11 @@ def update_b_single(m, h_k, p_max):
 
     The multiplier max(|c|/sqrt(P) - |c|^2, 0) with c = m^H h_k either leaves
     the unconstrained inverse 1/c untouched or scales it back onto the power
-    sphere; a vanishing c (below 1e-12) gives b = 0.
+    sphere; c = 0 exactly gives b = 0.
     """
     c = complex(np.vdot(m, h_k))
     mag = abs(c)
-    if mag < 1e-12:
+    if mag == 0.0:
         return 0j
     mu = max(mag / np.sqrt(p_max) - mag * mag, 0.0)
     return np.conj(c) / (mag * mag + mu)
@@ -272,7 +241,7 @@ def feasible_grid_axis(length, resolution):
 
 
 def grid_search_apv(objective, aperture, min_spacing, resolution, chunk=262144):
-    """Exhaustive feasible-grid minimizer of objective.value for N <= 3.
+    """Exhaustive feasible-grid minimizer of g for N <= 3.
 
     Returns (x_best, g_best) at the given grid resolution.
     """
@@ -287,7 +256,7 @@ def grid_search_apv(objective, aperture, min_spacing, resolution, chunk=262144):
         nonlocal best_val, best_x
         for start in range(0, points.shape[0], chunk):
             block = points[start:start + chunk]
-            vals = objective.value(block)
+            vals = stacked_values(objective, block)
             idx = int(np.argmin(vals))
             if vals[idx] < best_val:
                 best_val = float(vals[idx])
@@ -324,7 +293,7 @@ def refine_grid_minimum(objective, aperture, min_spacing, x_start, radius,
     if n > 1:
         keep &= np.all(np.diff(points, axis=1) >= min_spacing, axis=1)
     points = points[keep]
-    vals = objective.value(points)
+    vals = stacked_values(objective, points)
     idx = int(np.argmin(vals))
     return points[idx], float(vals[idx])
 

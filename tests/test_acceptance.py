@@ -12,7 +12,7 @@ import numpy as np
 
 from oracles import (coefficient_matrix, cross_lower_bound, cross_term, fd_gradient,
                      grid_search_refined, power_term, power_upper_bound,
-                     qp_active_set_reference, update_b_single)
+                     qp_active_set_reference, stacked_values, update_b_single)
 from trends import (array_size_sweep_shape, assert_monotone, snr_sweep_shape, trace_shape,
                     user_count_sweep_shape)
 from util import random_feasible_positions, random_state, random_weights
@@ -142,7 +142,7 @@ def test_criterion_4_sca_surrogate_soundness():
 
             surr_vals = (np.einsum("ij,jk,ik->i", samples, surrogate.quad, samples)
                          + samples @ surrogate.lin + surrogate.const)
-            true_vals = obj.value(samples)
+            true_vals = stacked_values(obj, samples)
             assert np.all(surr_vals >= true_vals - 1e-8)
 
             for k in range(k_users):

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (coefficient_matrix, cosine_gradient, cosine_hessian, cosine_value,
-                     cross_term, fd_gradient, fd_hessian, kn_gradient, kn_hessian,
-                     kn_majorant, kn_value, polar, power_term, steering_vector)
+                     cross_term, fd_gradient, fd_hessian, polar, power_term, stacked_values,
+                     steering_vector)
 from util import flat_objective, one_weight, random_state, random_weights
 
 from fluidaircomp.apv_objective import ApvObjective, effective_weights
 from fluidaircomp.model import channel_matrix, mse, residual, sample_scenario, steering
-from fluidaircomp.sca import build_surrogate
 
 
 def _direct_inner(weights, k, x):
@@ -67,16 +66,19 @@ def test_value_is_sum_of_terms_and_batch_agrees():
     pts = rng.uniform(0, 5, (7, 5))
     expected = [sum(power_term(obj, k, p) - cross_term(obj, k, p) + 1.0
                     for k in range(4)) for p in pts]
-    assert np.allclose([obj.value(p) for p in pts], expected, atol=1e-10)
-    assert np.allclose(obj.value(pts), expected, atol=1e-10)
+    pointwise = [obj.value(p) for p in pts]
+    assert np.allclose(pointwise, expected, atol=1e-10)
+    assert np.allclose(stacked_values(obj, pts), pointwise, rtol=0, atol=1e-12)
 
 
 def test_value_on_a_stack_equals_pointwise_calls():
+    # the kernels take h of shape (..., N, K): their sum over a (P, N) stack
+    # is value at each point
     rng = np.random.default_rng(9)
     for k_users, n in ((1, 1), (1, 4), (3, 1), (4, 5)):
         obj = random_weights(rng, k_users, n)
         pts = rng.uniform(-1, n + 1, (6, n))
-        stacked = obj.value(pts)
+        stacked = stacked_values(obj, pts)
         assert stacked.shape == (6,)
         assert np.allclose(stacked, [obj.value(p) for p in pts], rtol=0, atol=1e-12)
 
@@ -87,7 +89,6 @@ def test_shared_evaluation_is_never_stale():
     rng = np.random.default_rng(12)
     obj = random_weights(rng, 4, 5)
     x, y = rng.uniform(0, 5, 5), rng.uniform(0, 5, 5)
-    stack = rng.uniform(0, 5, (3, 5))
 
     def fresh(method, point):
         return getattr(ApvObjective(obj.b, obj.m, obj.alphas, obj.spatial_freqs),
@@ -97,20 +98,24 @@ def test_shared_evaluation_is_never_stale():
         got, ref = getattr(obj, method)(point), fresh(method, point)
         assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
-    # x[None] has x's bytes but another shape, and value returns an array
-    for point in (x, y, x, x[None], stack, x):
+    for point in (x, y, x):
         for method in ("value", "gradient", "hessian"):
-            if point.shape == (5,) or method == "value":
-                check(method, point)
-    assert isinstance(obj.value(x), float) and obj.value(x[None]).shape == (1,)
-    check("value", stack[0])
-    check("value", stack)
+            check(method, point)
+    assert isinstance(obj.value(x), float)
     check("gradient", x)
     x[2] += 0.25  # mutated in place: same array object, new point
     for method in ("hessian", "value", "gradient"):
         check(method, x)
     x[2] -= 0.25
     check("value", x)
+    # a point of another shape, even one with x's bytes, is rejected and
+    # leaves the kept point alone
+    for bad in (x[None], np.stack([x, y]), x[:-1]):
+        for method in ("value", "gradient", "hessian", "channel"):
+            with pytest.raises(ValueError, match="shape"):
+                getattr(obj, method)(bad)
+    for method in ("value", "gradient", "hessian"):
+        check(method, x)
 
 
 def test_objective_holding_a_channel_matches_one_that_formed_it():
@@ -183,28 +188,6 @@ def test_residual_identity_with_effective_weights():
             assert obj.value(x) == pytest.approx(direct, abs=1e-9 * (1 + direct))
             exact = mse(b, m, channel_matrix(scenario, x), scenario.sigma2)
             assert obj.value(x) + scenario.sigma2 * np.sum(np.abs(m) ** 2) == exact
-
-
-def test_closed_forms_match_kn_references():
-    # the factored value, gradient, Hessian and SCA curvature against the
-    # K x N coefficient formulas; zero entries of b and of m are in the draws,
-    # and a zero m_n is the zero-curvature row that solve_qp meets
-    rng = np.random.default_rng(22)
-    zero_rows = 0
-    for trial in range(300):
-        k_users = 1 if trial % 5 == 0 else int(rng.integers(1, 7))
-        n = 1 if trial % 7 == 0 else int(rng.integers(1, 8))
-        obj = random_weights(rng, k_users, n, zero_frac=0.3 if trial % 2 else 0.0)
-        x = rng.uniform(-1, n + 1, n)
-        quad = build_surrogate(obj, x).quad
-        zero_rows += int(np.sum(np.diag(quad) == 0))
-        for got, ref in ((obj.value(x), kn_value(obj, x)),
-                         (obj.gradient(x), kn_gradient(obj, x)),
-                         (obj.hessian(x), kn_hessian(obj, x)),
-                         (quad, kn_majorant(obj))):
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-10 * scale
-    assert zero_rows > 0
 
 
 def test_objectives_compare_and_hash_by_identity():

@@ -51,11 +51,30 @@ def test_fpa_scalar_instance_matches_brute_force():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_mse_history_monotone(method):
-    for seed in (0, 1, 2):
-        scenario = sample_scenario(4, 5, -5.0, seed=seed)
+    # p0 = 1e26 puts every |m^H h_k| near 1e-13, below any absolute threshold
+    # of order 1e-12 on it
+    scenarios = [sample_scenario(4, 5, -5.0, seed=seed) for seed in (0, 1, 2)]
+    scenarios.append(sample_scenario(10, 10, 0.0, seed=3, p0=1e26))
+    for scenario in scenarios:
         report = ao_optimize(scenario, AoOptions(method=method, max_rounds=25))
         hist = np.asarray(report.mse_history)
         assert np.all(np.diff(hist) <= 1e-9)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_power_scale_symmetry_is_exact(method):
+    # scaling every P_k and sigma2 by 4^j leaves the problem unchanged with
+    # b -> 2^j b and m -> 2^-j m, and every step of a round keeps that exact
+    for n, k, snr_db, seed in ((4, 4, 0.0, 0), (4, 3, -10.0, 1), (3, 5, 10.0, 2)):
+        options = AoOptions(method=method, max_rounds=8)
+        base = ao_optimize(sample_scenario(n, k, snr_db, seed=seed), options)
+        for j in range(-100, 61, 10):
+            report = ao_optimize(sample_scenario(n, k, snr_db, seed=seed, p0=4.0**j), options)
+            assert report.mse_history == base.mse_history, j
+            assert report.status == base.status
+            assert np.array_equal(report.state.x, base.state.x)
+            assert np.array_equal(report.state.b, base.state.b * 2.0**j)
+            assert np.array_equal(report.state.m, base.state.m * 2.0**-j)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -38,6 +38,15 @@ def test_projection_identity_on_feasible_points():
         assert np.array_equal(project_feasible(x, PositionSet(n, float(n), 0.5)), x)
 
 
+def test_projection_rejects_a_vector_of_the_wrong_shape():
+    # a length-1 v would broadcast against the N-entry ramp, and a longer
+    # one would fail inside the arithmetic; neither is a projection
+    positions = PositionSet(3, 3.0, 0.5)
+    for v in (np.array([0.5]), np.array([0.0, 1.0, 2.0, 3.0]), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            project_feasible(v, positions)
+
+
 def test_projection_two_antenna_kkt_case():
     positions = PositionSet(2, 2.0, 0.5)
     out = project_feasible(np.array([0.2, 0.1]), positions)

@@ -63,7 +63,10 @@ def test_cross_bound_tight_and_minorizing():
 
 
 def test_surrogate_equals_sum_of_per_user_bounds():
+    # zero entries of b and of m are in the draws; a zero m_n is the
+    # zero-curvature row that solve_qp meets
     rng = np.random.default_rng(47)
+    zero_rows = 0
     for trial in range(200):
         n = 1 if trial % 7 == 0 else int(rng.integers(1, 7))
         k_users = 1 if trial % 5 == 0 else int(rng.integers(1, 6))
@@ -71,11 +74,13 @@ def test_surrogate_equals_sum_of_per_user_bounds():
                                  zero_frac=0.3 if trial % 3 == 0 else 0.0)
         anchor = rng.uniform(-1, n + 1, n)
         surrogate = build_surrogate(weights, anchor)
+        zero_rows += int(np.sum(np.diag(surrogate.quad) == 0))
         # the oracle bounds are x^T quad x - lin^T x + const
         for got, ref in zip((surrogate.quad, -surrogate.lin, surrogate.const),
                             summed_bounds(weights, anchor)):
             scale = 1.0 + np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+    assert zero_rows > 0
 
 
 def assert_tight_majorizer(obj, anchor, points, slack):
