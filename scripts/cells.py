@@ -9,12 +9,14 @@ snr-sweep-k10 at -10, 0 and 10 dB with seeds 0-2; array-n20 seeds 0-1), the
 (40, 200, -10 dB, seed 0) cell, and two N = K = 10 instances: 0 dB with seed
 8203 (a stalled pdip call) and 100 dB with seed 0. Per solve the file holds
 the final MSE as float hex, the rounds, the position step's iterations per
-round, the AO status and four work counters: "steering", the single-point
-steering evaluations (complex exponentials) the solve formed; "projections",
-the calls of pgd.project_feasible; "pava", the calls of
-pgd.pava_nondecreasing; and "newton_steps", the calls of pdip.newton_step.
-It is deterministic, so its git diff names the cells a change moved and the
-work it cut. It is a report, not a gate.
+round, the AO status and six work counters: "steering", the single-point
+steering evaluations the solve formed; "projections", the calls of
+pgd.project_feasible; "pava", the calls of pgd.pava_nondecreasing;
+"newton_steps", the calls of pdip.newton_step; "residuals", the calls of
+pdip.residuals; and "qp_steps", the active-set steps of sca.solve_qp, summed
+from the iterations of its reports. It is deterministic, so its git diff
+names the cells a change moved and the work it cut. It is a report, not a
+gate.
 """
 
 import argparse
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fluidaircomp import apv_objective, model, pdip, pgd
+from fluidaircomp import apv_objective, model, pdip, pgd, sca
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
 from fluidaircomp.model import sample_scenario
 
@@ -48,22 +50,31 @@ CELLS = _cells()
 
 
 # Each work counter: the modules whose attribute is rebound, the attribute,
-# and which calls count (None: every call). The library reads steering from
-# model (in channel_matrix) and from apv_objective, so both are rebound.
+# which calls count (None: every call), and what a counted call adds, read
+# from its result (None: one). The library reads steering from model (in
+# channel_matrix) and from apv_objective, so both are rebound.
 COUNTERS = {
-    "steering": ((model, apv_objective), "steering", lambda x, *_: np.ndim(x) == 1),
-    "projections": ((pgd,), "project_feasible", None),
-    "pava": ((pgd,), "pava_nondecreasing", None),
-    "newton_steps": ((pdip,), "newton_step", None),
+    "steering": ((model, apv_objective), "steering",
+                 lambda x, *_, **__: np.ndim(x) == 1, None),
+    "projections": ((pgd,), "project_feasible", None, None),
+    "pava": ((pgd,), "pava_nondecreasing", None, None),
+    "newton_steps": ((pdip,), "newton_step", None, None),
+    "residuals": ((pdip,), "residuals", None, None),
+    "qp_steps": ((sca,), "solve_qp", None, lambda report: report.iterations),
 }
 
 
-def _counting(function, counts, name, counts_call):
-    """function, adding one to counts[name] per call that counts_call accepts."""
-    def counted(*args):
-        if counts_call is None or counts_call(*args):
+def _counting(function, counts, name, counts_call, weight):
+    """function, adding to counts[name] per call that counts_call accepts:
+    one before the call, or weight(result) after it."""
+    def counted(*args, **kwargs):
+        counted_call = counts_call is None or counts_call(*args, **kwargs)
+        if counted_call and weight is None:
             counts[name] += 1
-        return function(*args)
+        result = function(*args, **kwargs)
+        if counted_call and weight is not None:
+            counts[name] += weight(result)
+        return result
     return counted
 
 
@@ -74,8 +85,9 @@ def work_counters():
     traces, and restore them afterwards. Yields the dict of counts."""
     counts = dict.fromkeys(COUNTERS, 0)
     restore = []
-    for name, (modules, attribute, counts_call) in COUNTERS.items():
-        counted = _counting(getattr(modules[0], attribute), counts, name, counts_call)
+    for name, (modules, attribute, counts_call, weight) in COUNTERS.items():
+        counted = _counting(getattr(modules[0], attribute), counts, name, counts_call,
+                            weight)
         for module in modules:
             restore.append((module, attribute, getattr(module, attribute)))
             setattr(module, attribute, counted)

@@ -72,7 +72,8 @@ class ApvObjective:
         last = self._last
         if last[0] != key:
             if h is None:
-                h = self.alphas * steering(x, self.spatial_freqs)
+                h = steering(x, self.spatial_freqs)
+                h *= self.alphas
             last = (key, h, residual(self.b, self.m, h))
             object.__setattr__(self, "_last", last)
         return last[1], last[2]
@@ -97,7 +98,9 @@ class ApvObjective:
         # Re(T T^H) is one real product of T's float view, whose rows
         # interleave Re and Im
         hess = t.view(float) @ t.view(float).T
-        hess.flat[:: hess.shape[0] + 1] -= (t @ (self.spatial_freqs * r.conj())).real
+        # the diagonal as a strided view of the fresh, contiguous product
+        diagonal = hess.reshape(-1)[:: hess.shape[0] + 1]
+        diagonal -= (t @ (self.spatial_freqs * r.conj())).real
         return 2.0 * hess
 
 

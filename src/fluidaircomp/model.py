@@ -120,9 +120,18 @@ class SolveReport:
 def steering(x: np.ndarray, spatial_freqs: np.ndarray) -> np.ndarray:
     """exp(j*x_n*phi_k) of shape (..., N, K) for positions x of shape (..., N)
     and spatial frequencies phi of shape (K,); the library's one complex
-    exponential. Every entry has unit modulus; x is in wavelengths."""
+    exponential. Every entry has unit modulus; x is in wavelengths.
+
+    The exponent is one product x_n * (0 + j*phi_k), with the factor built
+    with a real part of +0.0: one complex pass over N x K before the exp,
+    where np.exp(1j * (x_n * phi_k)) takes two (the real product, then 1j
+    times it). Both exponents are (+-0, x_n*phi_k + 0.0), so the entries
+    carry the same bits. 1j * phi would have a real part of -0.0 for
+    phi_k < 0, and the imaginary part at x_n = 0 would then be -0.0."""
     x = np.asarray(x, dtype=float)
-    return np.exp(1j * (x[..., :, None] * np.asarray(spatial_freqs, dtype=float)))
+    j_phi = np.zeros(np.shape(spatial_freqs), dtype=complex)
+    j_phi.imag = spatial_freqs
+    return np.exp(x[..., :, None] * j_phi)
 
 
 def channel_matrix(scenario: Scenario, x: np.ndarray) -> np.ndarray:

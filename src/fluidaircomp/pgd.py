@@ -6,7 +6,11 @@ projection is pool-adjacent-violators followed by clipping. A z that is
 already nondecreasing skips PAVA and is only clipped: PAVA pools strict
 violations only, so it would return that z bit for bit. Most infeasible trial
 points are of this kind, since a short step keeps the antennas in order and
-leaves the box only at an end.
+leaves the box only at an end. On the others a short step leaves a few
+adjacent pairs out of order, and PAVA walks only the window from the first
+to the last of them, plus the entries its pools reach: before the window no
+entry pools, and past it the first entry left unpooled starts a run that
+stays unpooled, so the window gives the full walk's bits.
 
 Each Armijo ladder starts at the Barzilai-Borwein step of the previous accepted
 iteration (the BB2 step s^T y / y^T y, capped at _STEP0), the spectral
@@ -41,30 +45,53 @@ _TOL_X = 1e-6
 _MAX_ITERS = 50
 
 
-def pava_nondecreasing(y: np.ndarray | list[float]) -> np.ndarray:
+def pava_nondecreasing(y: np.ndarray | list[float], first: int = 0,
+                       last: int | None = None) -> np.ndarray:
     """Unit-weight isotonic regression: the closest nondecreasing vector to y.
 
     Blocks are merged left to right with plain averages; equal adjacent means
     stay separate blocks, which leaves the output unchanged. The loop runs on
     Python floats: iterating a NumPy array yields NumPy scalars, whose
     per-element arithmetic costs more at these lengths.
+
+    The window [first, last] bounds where y can violate monotonicity: every
+    y_i <= y_{i+1} with i < first or i > last. The entries up to first then
+    go on the stack as singletons, since none pools with its predecessor.
+    Past last, the first entry the top block does not absorb is pushed alone,
+    and so is every later one, each no smaller than the one before, so the
+    merge loop stops there. Only the pooled blocks are written into a copy of
+    y. Without a window the whole of y is walked.
     """
+    y = np.array(y, dtype=float)
+    values = y.tolist()
+    n = len(values)
+    if last is None:
+        last = n
     # each block keeps (sum, count); means must end up nondecreasing. Only
     # strict violations are pooled, so an already-isotonic input passes
     # through bitwise unchanged.
-    sums: list[float] = []
-    counts: list[int] = []
-    for value in np.asarray(y, dtype=float).tolist():
-        cur_sum, cur_count = value, 1
+    sums = values[:first + 1]
+    counts = [1] * len(sums)
+    end = n
+    for j in range(first + 1, n):
+        cur_sum, cur_count = values[j], 1
         while sums and sums[-1] * cur_count > cur_sum * counts[-1]:
             cur_sum += sums.pop()
             cur_count += counts.pop()
+        if cur_count == 1 and j > last:
+            end = j
+            break
         sums.append(cur_sum)
         counts.append(cur_count)
-    out: list[float] = []
-    for block_sum, block_count in zip(sums, counts):
-        out += [block_sum / block_count] * block_count
-    return np.array(out, dtype=float)
+    # every pooled block holds an entry past first, so the walk down the
+    # stack ends where the untouched prefix begins
+    while end > first + 1:
+        block_count = counts.pop()
+        block_sum = sums.pop()
+        if block_count > 1:
+            y[end - block_count:end] = block_sum / block_count
+        end -= block_count
+    return y
 
 
 def project_feasible(v: np.ndarray, positions: PositionSet) -> np.ndarray:
@@ -77,7 +104,11 @@ def project_feasible(v: np.ndarray, positions: PositionSet) -> np.ndarray:
     up to the last ulp of the ramp round trip. PAVA pools only where some
     y_i > y_{i+1}, so a shifted input y with every y_i <= y_{i+1} is returned
     by it bit for bit; such a y is clipped directly, and PAVA runs only on the
-    other inputs. Raises ValueError unless v has shape (N,).
+    other inputs, over the window from the first to the last pair with
+    y_i <= y_{i+1} false. Before that window no entry pools with its
+    predecessor, and past it the first entry the pools leave alone starts a
+    run that stays unpooled, so the windowed call returns the full call's
+    bits. Raises ValueError unless v has shape (N,).
     """
     v = np.asarray(v, dtype=float)
     ramp = positions.ramp
@@ -85,11 +116,15 @@ def project_feasible(v: np.ndarray, positions: PositionSet) -> np.ndarray:
         raise ValueError(f"v must have shape {ramp.shape}, got {v.shape}")
     upper = positions.slack
     y = v - ramp
-    if (y[:-1] <= y[1:]).all():
+    # the mask as a list: at these lengths its membership test and index
+    # calls cost less than NumPy reductions
+    ordered = (y[:-1] <= y[1:]).tolist()
+    if False not in ordered:
         if y[0] >= 0.0 and y[-1] <= upper:
             return v.copy()
     else:
-        y = pava_nondecreasing(y)
+        last = len(ordered) - 1 - ordered[::-1].index(False)
+        y = pava_nondecreasing(y, ordered.index(False), last)
     return y.clip(0.0, upper) + ramp
 
 

@@ -373,6 +373,13 @@ def project_feasible_numpy(v, aperture, min_spacing):
     y = v - ramp
     if y[0] >= 0.0 and y[-1] <= upper and np.all(np.diff(y) >= 0.0):
         return v.copy()
+    return np.clip(pava_numpy(y), 0.0, upper) + ramp
+
+
+def pava_numpy(y):
+    """PAVA as first written, over every entry of y: blocks of (sum, count)
+    merged left to right while the previous block's mean is strictly larger."""
+    y = np.asarray(y, dtype=float)
     sums, counts = [], []
     for value in y:
         cur_sum, cur_count = float(value), 1
@@ -386,7 +393,7 @@ def project_feasible_numpy(v, aperture, min_spacing):
     for block_sum, block_count in zip(sums, counts):
         out[pos:pos + block_count] = block_sum / block_count
         pos += block_count
-    return np.clip(out, 0.0, upper) + ramp
+    return out
 
 
 def newton_step_block(objective, positions, x, f, nu, r_dual, r_cent):

@@ -48,6 +48,30 @@ def test_steering_columns_are_per_user_steering_vectors():
             assert np.allclose(out[p, :, k], steering_vector(x, theta), rtol=0, atol=1e-12)
 
 
+def test_steering_equals_complex_exp_bit_for_bit():
+    # steering forms its exponent as one complex product; for finite inputs
+    # it must give exp(1j * t)'s bits, including the +0.0 imaginary part
+    # that exp gives where t = -0.0 (x_n = 0 with phi_k < 0)
+    rng = np.random.default_rng(9)
+    cases = [(np.zeros(4), np.array([-2.0, 0.0, 3.0])),
+             (np.array([0.0, -0.0, -1.5, 2.5]), np.array([-6.0, -0.0, 0.0, 6.0])),
+             (np.array([0.7]), np.array([-1.3])),
+             (rng.uniform(0, 40, 40), rng.uniform(-2 * np.pi, 2 * np.pi, 200))]
+    for trial in range(2000):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        shape = (n,) if trial % 2 else (int(rng.integers(1, 5)), n)
+        x = rng.uniform(-10, 10, shape)
+        x[rng.uniform(size=shape) < 0.2] = 0.0
+        phi = rng.uniform(-2 * np.pi, 2 * np.pi, k)
+        phi[rng.uniform(size=k) < 0.1] = 0.0
+        cases.append((x, phi))
+    for x, phi in cases:
+        out = steering(x, phi)
+        ref = np.exp(1j * (x[..., :, None] * phi))
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+
 def test_channel_single_antenna_gain():
     scenario = Scenario(1, [2.0], [1.0], [1.0], 1.0, 0.0, 0.0)
     h = channel(scenario, 0, np.array([0.0]))

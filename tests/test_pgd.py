@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_search_refined, project_feasible_numpy, project_reference
+from oracles import grid_search_refined, pava_numpy, project_feasible_numpy, project_reference
 from util import flat_objective, random_feasible_positions, random_weights, warmed_objective
 
 import fluidaircomp.pgd as pgd
@@ -141,6 +141,68 @@ def test_monotone_inputs_leaving_the_box_are_only_clipped(monkeypatch):
         out = project_feasible(v, positions)
         ref = project_feasible_numpy(v, length, spacing)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+def _pgd_shaped_trial(rng, trial):
+    """(positions, aperture, spacing, v): a random feasible chain moved by a
+    short random step, as pgd's trial points are, with one entry kicked down
+    or up on some trials (a pool reaching back into the prefix, or one
+    running past the entry after the last violation), the kick at the first
+    or the last pair on others, values rounded onto a grid for exact ties,
+    and tight geometry (slack 0)."""
+    n = int(rng.integers(2, 41))
+    spacing = 0.0 if trial % 7 == 0 else 0.5
+    if spacing and trial % 13 == 0:
+        aperture = (n - 1) * spacing
+    else:
+        aperture = float(rng.uniform((n - 1) * spacing + 0.5, 2 * n))
+    positions = PositionSet(n, aperture, spacing)
+    x = random_feasible_positions(rng, n, aperture, spacing)
+    v = x + rng.normal(scale=[1e-3, 1e-2, 0.1, 0.5][trial % 4], size=n)
+    kick = trial % 5
+    if kick:
+        i = {1: 0, 2: n - 2}.get(kick, int(rng.integers(0, n - 1)))
+        size = float(rng.uniform(0.1, 3.0))
+        # kick 1 and 3 lift entry i over its successor, kick 2 and 4 drop
+        # entry i + 1 under its predecessor
+        if kick % 2:
+            v[i] += size
+        else:
+            v[i + 1] -= size
+    if trial % 6 == 0:
+        v = np.round(v * 4.0) / 4.0
+    return positions, aperture, spacing, v
+
+
+def test_windowed_projection_equals_the_numpy_reference():
+    # pgd-shaped inputs that need PAVA: the window from the first to the last
+    # pair with y_i <= y_{i+1} false must give the full walk's bits, in the
+    # projection and in pava_nondecreasing itself, windowed or not
+    rng = np.random.default_rng(11)
+    seen = dict.fromkeys(("isolated", "several", "into prefix", "past last",
+                          "first pair", "last pair", "tight", "ties"), 0)
+    for trial in range(6000):
+        positions, aperture, spacing, v = _pgd_shaped_trial(rng, trial)
+        out = project_feasible(v, positions)
+        ref = project_feasible_numpy(v, aperture, spacing)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+        y = v - positions.ramp
+        window = np.flatnonzero(~(y[:-1] <= y[1:]))
+        if window.size == 0:
+            continue
+        first, last = int(window[0]), int(window[-1])
+        pooled = pava_numpy(y)
+        assert pava_nondecreasing(y, first, last).tobytes() == pooled.tobytes()
+        assert pava_nondecreasing(y).tobytes() == pooled.tobytes()
+        seen["isolated" if window.size == 1 else "several"] += 1
+        seen["into prefix"] += bool(first > 0 and pooled[first - 1] != y[first - 1])
+        seen["past last"] += bool(last + 2 < y.size and pooled[last + 2] != y[last + 2])
+        seen["first pair"] += first == 0
+        seen["last pair"] += last == y.size - 2
+        seen["tight"] += positions.slack == 0.0
+        seen["ties"] += bool(np.any(y[:-1] == y[1:]))
+    assert min(seen.values()) >= 100, seen
 
 
 def test_projection_infeasible_geometry_raises():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from fluidaircomp.experiments import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,13 +39,21 @@ def test_cells_ledger_writes_and_compares_one_cell(tmp_path):
     for method, solve in solves.items():
         assert float.fromhex(solve["mse"]) > 0
         assert len(solve["inner_iterations"]) == (0 if method == "fpa" else solve["rounds"])
-        for counter in ("steering", "projections", "pava", "newton_steps"):
+        for counter in ("steering", "projections", "pava", "newton_steps", "residuals",
+                        "qp_steps"):
             assert isinstance(solve[counter], int) and solve[counter] >= 0
-    # every pgd iteration projects at least one trial point, and only pdip
-    # takes Newton steps
+    # every pgd iteration projects at least one trial point, only pdip takes
+    # Newton steps and evaluates its residuals, and every sca round takes at
+    # least one active-set step
     assert solves["pgd"]["projections"] >= sum(solves["pgd"]["inner_iterations"])
     assert solves["pgd"]["pava"] <= solves["pgd"]["projections"]
     assert solves["pdip"]["newton_steps"] > 0 and solves["fpa"]["newton_steps"] == 0
+    assert solves["pdip"]["residuals"] > 0
+    assert solves["sca"]["qp_steps"] >= solves["sca"]["rounds"] > 0
+    for method in ("sca", "pgd", "fpa"):
+        assert solves[method]["residuals"] == 0
+    for method in ("pdip", "pgd", "fpa"):
+        assert solves[method]["qp_steps"] == 0
 
     # a rerun reproduces the file; against an edited copy it names the moves
     solves["pdip"]["mse"] = (float.fromhex(solves["pdip"]["mse"]) * 0.5).hex()
@@ -61,6 +71,32 @@ def test_cells_ledger_writes_and_compares_one_cell(tmp_path):
     assert f"  {cell} sca: rounds {solves['sca']['rounds']} -> " \
            f"{solves['sca']['rounds'] - 1}" in lines
     assert sum(line.endswith("changed") for line in lines) == 2
+
+
+def test_counted_calls_take_keyword_arguments():
+    # the ledger's counters wrap library functions; a counted call must
+    # forward keyword arguments, to the function and to the call filter
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import cells
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    from fluidaircomp import model, pgd
+
+    y = np.array([0.0, 3.0, 1.0, 2.0, 5.0])
+    phi = np.array([-1.0, 2.0])
+    with cells.work_counters() as counts:
+        pooled = pgd.pava_nondecreasing(y, first=1, last=2)
+        model.steering(np.zeros(3), spatial_freqs=phi)
+        model.steering(np.zeros((2, 3)), spatial_freqs=phi)
+    assert counts["pava"] == 1 and counts["steering"] == 1
+    assert pooled.tobytes() == pgd.pava_nondecreasing(y).tobytes()
+
+    # a weighted counter adds what it reads from each result
+    counts = {"steps": 0}
+    counted = cells._counting(lambda n, scale=1: [0] * (n * scale), counts, "steps",
+                              None, len)
+    assert counted(2, scale=3) == [0] * 6 and counts["steps"] == 6
 
 
 def test_ab_of_one_tree_against_itself_is_identical():
