@@ -26,8 +26,7 @@ import time
 from pathlib import Path
 
 from cells import CELLS
-
-METHODS = ("pdip", "sca", "pgd", "fpa")
+from fluidaircomp.driver import METHODS
 
 
 def load_tree(root: Path, name: str):

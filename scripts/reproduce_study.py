@@ -2,8 +2,10 @@
 """Run the full desk-scale study: a convergence trace plus SNR, array-size,
 and user-count sweeps for all four methods. Writes one CSV per experiment.
 
-The experiments are the files in configs/; --seed, --workers and (except for
-the single-trial trace) --trials override theirs."""
+The experiments are the files in configs/, each written under --out-dir to
+the name its `out` key gives. Every setting is the config's own, except that
+--seed, --workers and (but for the single-trial trace) --trials override it
+when given, as in `fluidaircomp run`."""
 
 import argparse
 import os
@@ -26,33 +28,32 @@ QUICK = {
 def build_experiments(trials, seed, workers, quick):
     experiments = []
     for name, sizes in QUICK.items():
-        config = replace(parse_config(str(CONFIGS / f"{name}.cfg")),
-                         seed=seed, workers=workers)
-        if config.sweep != "trace":
-            config = replace(config, trials=trials)
-        if quick:
-            config = replace(config, **sizes)
-        experiments.append((f"{name}.csv", config))
+        config = parse_config(str(CONFIGS / f"{name}.cfg"))
+        flags = dict(seed=seed, workers=workers,
+                     trials=None if config.sweep == "trace" else trials)
+        config = replace(config, **{key: value for key, value in flags.items()
+                                    if value is not None})
+        experiments.append(replace(config, **sizes) if quick else config)
     return experiments
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--trials", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--trials", type=int, help="trial count (overrides the sweeps')")
+    parser.add_argument("--seed", type=int, help="base seed (overrides the configs')")
+    parser.add_argument("--workers", type=int, help="process count (overrides the configs')")
     parser.add_argument("--quick", action="store_true",
                         help="tiny sizes for a smoke run")
     args = parser.parse_args()
 
     experiments = build_experiments(args.trials, args.seed, args.workers, args.quick)
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, config in experiments:
-        path = os.path.join(args.out_dir, name)
+    for config in experiments:
+        path = os.path.join(args.out_dir, config.out)
         start = time.perf_counter()
         run_sweep(config, path)
-        print(f"{name:14s} -> {path}  ({time.perf_counter() - start:.1f}s)")
+        print(f"{config.out:14s} -> {path}  ({time.perf_counter() - start:.1f}s)")
 
 
 if __name__ == "__main__":

@@ -178,8 +178,9 @@ def _format_row(row: tuple) -> list[str]:
             f"{rounds:g}", f"{seconds:.6f}", str(seed)]
 
 
-def run_sweep(config: ExperimentConfig, out_path: str | None = None) -> None:
-    """Execute the configured sweep and write its CSV.
+def run_sweep(config: ExperimentConfig, out_path: str) -> None:
+    """Execute the configured sweep and write its CSV to out_path, which the
+    caller names (the CLI through default_out_path).
 
     Each axis value's block of per-trial rows (ordered by trial, then method)
     is written and flushed as soon as its trials finish, so a failed run
@@ -188,16 +189,15 @@ def run_sweep(config: ExperimentConfig, out_path: str | None = None) -> None:
     except in trace mode; each is formed from its value's block as that
     block is written, so only the aggregates outlive their block.
     """
-    path = out_path or default_out_path(config)
     values = (0.0,) if config.sweep == "trace" else config.values
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
 
-    directory = os.path.dirname(path)
+    directory = os.path.dirname(out_path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     aggregates: list[tuple] = []
     cells = [(config, value, trial) for value in values for trial in range(config.trials)]
-    with open(path, "w", newline="", encoding="utf-8") as fh, \
+    with open(out_path, "w", newline="", encoding="utf-8") as fh, \
             closing(_map_cells(cells, workers)) as results:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)

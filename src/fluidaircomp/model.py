@@ -56,13 +56,13 @@ class Scenario:
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
         object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=float))
         object.__setattr__(self, "powers", np.asarray(self.powers, dtype=float))
-        k = self.alphas.shape[0]
-        if self.thetas.shape != (k,) or self.powers.shape != (k,):
-            raise ValueError("alphas, thetas, powers must share one length K")
-        if k < 1:
+        shape = self.alphas.shape
+        if len(shape) != 1 or self.thetas.shape != shape or self.powers.shape != shape:
+            raise ValueError("alphas, thetas, powers must be 1-D arrays of one length K")
+        if shape[0] < 1:
             raise ValueError("need at least one user")
-        numbers = (self.alphas, self.powers, self.sigma2)
-        if not all(np.all(np.isfinite(value)) for value in numbers):
+        finite = (self.alphas, self.powers, self.sigma2)
+        if not all(np.all(np.isfinite(value)) for value in finite):
             raise ValueError("scenario parameters must be finite")
         if not np.all(self.alphas > 0):
             raise ValueError("propagation gains must be positive")

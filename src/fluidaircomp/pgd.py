@@ -45,8 +45,7 @@ _TOL_X = 1e-6
 _MAX_ITERS = 50
 
 
-def pava_nondecreasing(y: np.ndarray | list[float], first: int = 0,
-                       last: int | None = None) -> np.ndarray:
+def pava_nondecreasing(y: np.ndarray | list[float], first: int, last: int) -> np.ndarray:
     """Unit-weight isotonic regression: the closest nondecreasing vector to y.
 
     Blocks are merged left to right with plain averages; equal adjacent means
@@ -60,13 +59,11 @@ def pava_nondecreasing(y: np.ndarray | list[float], first: int = 0,
     Past last, the first entry the top block does not absorb is pushed alone,
     and so is every later one, each no smaller than the one before, so the
     merge loop stops there. Only the pooled blocks are written into a copy of
-    y. Without a window the whole of y is walked.
+    y. The full window (0, len(y) - 2) walks all of y.
     """
     y = np.array(y, dtype=float)
     values = y.tolist()
     n = len(values)
-    if last is None:
-        last = n
     # each block keeps (sum, count); means must end up nondecreasing. Only
     # strict violations are pooled, so an already-isotonic input passes
     # through bitwise unchanged.

@@ -207,6 +207,17 @@ def test_scenario_rejects_non_finite(field, bad):
         Scenario(**params)
 
 
+@pytest.mark.parametrize("alphas, thetas, powers", [
+    pytest.param([[1.0, 2.0]], [1.0], [1.0], id="gains-2d"),
+    pytest.param(1.0, [1.0], [1.0], id="gains-scalar"),
+])
+def test_scenario_rejects_user_arrays_that_are_not_one_length_k(alphas, thetas, powers):
+    # a (1, 2) gain array once passed as one user, and a scalar raised IndexError
+    with pytest.raises(ValueError):
+        Scenario(n_antennas=2, alphas=alphas, thetas=thetas, powers=powers,
+                 sigma2=1.0, aperture=2.0, min_spacing=0.5)
+
+
 def test_channel_matrix_matches_per_user():
     scenario = sample_scenario(4, 3, 0.0, seed=9)
     x = np.sort(np.random.default_rng(0).uniform(0, scenario.aperture, 4))

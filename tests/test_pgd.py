@@ -15,19 +15,20 @@ from fluidaircomp.pgd import pava_nondecreasing, project_feasible, solve_pgd
 
 def test_pava_sorted_input_unchanged():
     y = np.array([0.0, 1.0, 1.5, 3.0])
-    assert np.array_equal(pava_nondecreasing(y), y)
+    assert np.array_equal(pava_nondecreasing(y, 0, y.size - 2), y)
 
 
 def test_pava_single_violation_pools():
-    assert np.allclose(pava_nondecreasing(np.array([2.0, 1.0])), [1.5, 1.5])
+    assert np.allclose(pava_nondecreasing(np.array([2.0, 1.0]), 0, 0), [1.5, 1.5])
 
 
 def test_pava_output_is_nondecreasing():
     rng = np.random.default_rng(0)
     for _ in range(200):
         y = rng.normal(size=int(rng.integers(1, 12)))
-        out = pava_nondecreasing(y)
+        out = pava_nondecreasing(y, 0, y.size - 2)
         assert np.all(np.diff(out) >= 0)
+        assert out.tobytes() == pava_numpy(y).tobytes()
 
 
 def test_projection_identity_on_feasible_points():
@@ -113,7 +114,7 @@ def test_monotone_inputs_leaving_the_box_are_only_clipped(monkeypatch):
     # ramp-shifted inputs that are already nondecreasing but leave [0, slack]
     # at one end or both skip PAVA; the clip alone must give the reference's
     # bits, which run PAVA on them
-    def no_pava(y):
+    def no_pava(y, first, last):
         raise AssertionError("PAVA ran on a nondecreasing input")
 
     monkeypatch.setattr(pgd, "pava_nondecreasing", no_pava)
@@ -177,7 +178,7 @@ def _pgd_shaped_trial(rng, trial):
 def test_windowed_projection_equals_the_numpy_reference():
     # pgd-shaped inputs that need PAVA: the window from the first to the last
     # pair with y_i <= y_{i+1} false must give the full walk's bits, in the
-    # projection and in pava_nondecreasing itself, windowed or not
+    # projection and in pava_nondecreasing itself
     rng = np.random.default_rng(11)
     seen = dict.fromkeys(("isolated", "several", "into prefix", "past last",
                           "first pair", "last pair", "tight", "ties"), 0)
@@ -194,7 +195,6 @@ def test_windowed_projection_equals_the_numpy_reference():
         first, last = int(window[0]), int(window[-1])
         pooled = pava_numpy(y)
         assert pava_nondecreasing(y, first, last).tobytes() == pooled.tobytes()
-        assert pava_nondecreasing(y).tobytes() == pooled.tobytes()
         seen["isolated" if window.size == 1 else "several"] += 1
         seen["into prefix"] += bool(first > 0 and pooled[first - 1] != y[first - 1])
         seen["past last"] += bool(last + 2 < y.size and pooled[last + 2] != y[last + 2])

@@ -3,13 +3,15 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from fluidaircomp.experiments import CSV_HEADER
+from fluidaircomp.experiments import CSV_HEADER, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,7 +92,7 @@ def test_counted_calls_take_keyword_arguments():
         model.steering(np.zeros(3), spatial_freqs=phi)
         model.steering(np.zeros((2, 3)), spatial_freqs=phi)
     assert counts["pava"] == 1 and counts["steering"] == 1
-    assert pooled.tobytes() == pgd.pava_nondecreasing(y).tobytes()
+    assert pooled.tolist() == [0.0, 2.0, 2.0, 2.0, 5.0]
 
     # a weighted counter adds what it reads from each result
     counts = {"steps": 0}
@@ -143,6 +145,38 @@ def test_reproduce_study_quick_writes_every_csv(tmp_path):
             rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_HEADER)
         assert len(rows) > 1
+
+
+def test_reproduce_study_takes_its_settings_from_its_configs(tmp_path, monkeypatch):
+    # a flag that is not given leaves the config's value alone; one that is
+    # given replaces that value and no other (--trials not the trace's)
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import reproduce_study
+
+    configs = tmp_path / "configs"
+    shutil.copytree(ROOT / "configs", configs)
+    snr = configs / "snr_sweep.cfg"
+    snr.write_text(snr.read_text().replace("trials = 50", "trials = 7")
+                   .replace("seed = 0", "seed = 3"))
+    expected = parse_config(str(snr))
+    assert (expected.trials, expected.seed) == (7, 3)
+    trace = parse_config(str(configs / "trace.cfg"))
+    monkeypatch.setattr(reproduce_study, "CONFIGS", configs)
+    calls = []
+    monkeypatch.setattr(reproduce_study, "run_sweep",
+                        lambda config, path: calls.append((config, path)))
+    out_dir = tmp_path / "results"
+    for flags, changes in (((), {}), (("--seed", "5"), {"seed": 5}),
+                           (("--trials", "4", "--workers", "2"), {"trials": 4, "workers": 2})):
+        calls.clear()
+        monkeypatch.setattr(sys, "argv", ["reproduce_study.py", "--out-dir", str(out_dir),
+                                          *flags])
+        reproduce_study.main()
+        runs = {path: config for config, path in calls}
+        assert list(runs) == [str(out_dir / name) for name in
+                              ("trace.csv", "snr_sweep.csv", "n_sweep.csv", "k_sweep.csv")]
+        assert runs[str(out_dir / "snr_sweep.csv")] == replace(expected, **changes)
+        assert runs[str(out_dir / "trace.csv")].trials == trace.trials
 
 
 def test_reproduce_study_rejects_negative_workers(tmp_path):
