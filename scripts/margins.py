@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Print the means and margins of the trend criteria 8a-8d.
 
-    PYTHONPATH=src python scripts/margins.py             # all four, about 65 s on 2 cores
+    PYTHONPATH=src python scripts/margins.py             # all four, about 30 s on 2 cores
     PYTHONPATH=src python scripts/margins.py --criterion 8a --criterion 8c
 
 Each criterion runs the trials of its test in tests/test_acceptance.py, with
-the same seeds and settings, through the same function of tests/trends.py. A
-margin is positive while the test's assertion holds.
+the same seeds and settings, through the same function of tests/trends.py,
+which solves them through the library's sweep runner with RuntimeWarnings as
+errors. A margin is positive while the test's assertion holds.
 """
 
 import argparse

@@ -62,5 +62,5 @@ def cli_main(argv=None) -> int:
         return 1
 
 
-def main() -> None:
+if __name__ == "__main__":
     sys.exit(cli_main())

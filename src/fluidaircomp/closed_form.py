@@ -20,10 +20,7 @@ def update_b(m: np.ndarray, h: np.ndarray, powers: np.ndarray) -> np.ndarray:
     c = m.conj() @ h  # m^H h_k per user
     mag = np.abs(c)
     mu = np.maximum(mag / np.sqrt(powers) - mag**2, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.conj(c) / (mag**2 + mu)
-    b[mag == 0.0] = 0j
-    return b
+    return np.divide(np.conj(c), mag**2 + mu, out=np.zeros_like(c), where=mag != 0.0)
 
 
 def update_m(b: np.ndarray, h: np.ndarray, sigma2: float) -> np.ndarray:

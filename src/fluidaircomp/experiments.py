@@ -2,9 +2,10 @@
 
 All methods in a given (axis value, trial) cell see the byte-identical
 scenario (seed = base seed + trial), so comparisons are paired. Cells are
-independent work items and may run in one process pool per sweep; results
-come back in cell order, each cell's rows in trial, method and round order,
-so the CSV does not depend on the worker count.
+independent work items and may run in one process pool per sweep;
+sweep_reports yields each cell's reports in cell order, and run_sweep writes
+them as rows in trial, method and round order, so the CSV does not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, fields
-from itertools import islice
+from typing import Iterator
 
 from .driver import METHODS, AoOptions, ao_optimize
 from .model import check_integer, noise_power, sample_scenario
@@ -141,35 +142,44 @@ def _scenario_for(config: ExperimentConfig, value: float, trial: int):
     return scenario, seed
 
 
-def _run_cell(args) -> list[tuple]:
-    """One (axis value, trial) work item: all methods on the shared scenario."""
-    config, value, trial = args
+def _solve_cell(cell) -> tuple[float, int, dict]:
+    """One (axis value, trial) work item: every method on the shared scenario."""
+    config, value, trial = cell
     scenario, seed = _scenario_for(config, value, trial)
-    rows = []
-    for method in config.methods:
-        options = AoOptions(method=method, max_rounds=config.max_rounds,
-                            tol_mse=config.tol_mse)
-        report = ao_optimize(scenario, options, seed=seed)
-        seconds = report.seconds if config.timing == "wall" else 0.0
-        if config.sweep == "trace":
-            for t, value_t in enumerate(report.mse_history):
-                rows.append(("round", float(t), trial, method, value_t,
-                             report.rounds, seconds, seed))
-        else:
-            rows.append((SWEEP_AXES[config.sweep], value, trial, method,
-                         report.state.mse, report.rounds, seconds, seed))
-    return rows
+    return value, trial, {method: ao_optimize(scenario, AoOptions(
+        method, config.max_rounds, config.tol_mse), seed=seed) for method in config.methods}
 
 
-def _map_cells(cells: list, workers: int):
-    """Yield each cell's rows in cell order, from one pool for the whole sweep
-    when more than one worker and more than one cell. The pool has at most
-    one worker per cell, since a forked pool starts all its workers at once."""
+def sweep_reports(config: ExperimentConfig) -> Iterator[tuple[float, int, dict]]:
+    """Yield (value, trial, {method: AoReport}) for each cell of the sweep in
+    cell order (axis value, then trial; trace mode has the one value 0.0).
+
+    With more than one worker and more than one cell the cells run on one
+    pool for the whole sweep, with at most one worker per cell, since a forked
+    pool starts all its workers at once.
+    """
+    values = (0.0,) if config.sweep == "trace" else config.values
+    workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
+    cells = [(config, value, trial) for value in values for trial in range(config.trials)]
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            yield from pool.map(_run_cell, cells, chunksize=1)
+            yield from pool.map(_solve_cell, cells, chunksize=1)
     else:
-        yield from map(_run_cell, cells)
+        yield from map(_solve_cell, cells)
+
+
+def _cell_rows(config: ExperimentConfig, value: float, trial: int, reports: dict) -> list:
+    """A cell's CSV rows in method order, one per round in trace mode."""
+    rows = []
+    for method, report in reports.items():
+        seconds = report.seconds if config.timing == "wall" else 0.0
+        if config.sweep == "trace":
+            rows += [("round", float(t), trial, method, value_t, report.rounds, seconds,
+                      report.seed) for t, value_t in enumerate(report.mse_history)]
+        else:
+            rows.append((SWEEP_AXES[config.sweep], value, trial, method,
+                         report.state.mse, report.rounds, seconds, report.seed))
+    return rows
 
 
 def _format_row(row: tuple) -> list[str]:
@@ -189,28 +199,27 @@ def run_sweep(config: ExperimentConfig, out_path: str) -> None:
     except in trace mode; each is formed from its value's block as that
     block is written, so only the aggregates outlive their block.
     """
-    values = (0.0,) if config.sweep == "trace" else config.values
-    workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
-
     directory = os.path.dirname(out_path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     aggregates: list[tuple] = []
-    cells = [(config, value, trial) for value in values for trial in range(config.trials)]
     with open(out_path, "w", newline="", encoding="utf-8") as fh, \
-            closing(_map_cells(cells, workers)) as results:
+            closing(sweep_reports(config)) as cells:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for value in values:
-            block = [row for cell_rows in islice(results, config.trials)
-                     for row in cell_rows]
-            for row in block:
+        block: list[tuple] = []
+        for value, trial, reports in cells:
+            block += _cell_rows(config, value, trial, reports)
+            if trial < config.trials - 1:
+                continue
+            rows, block = block, []
+            for row in rows:
                 writer.writerow(_format_row(row))
             fh.flush()
             if config.sweep == "trace":
                 continue
             for method in config.methods:
-                group = [row for row in block if row[3] == method]
+                group = [row for row in rows if row[3] == method]
                 n_rows = len(group)
                 aggregates.append((SWEEP_AXES[config.sweep], value, -1, method,
                                    sum(r[4] for r in group) / n_rows,

@@ -1,6 +1,8 @@
 import csv
 import os
 import re
+import runpy
+import subprocess
 import sys
 from dataclasses import fields, replace
 
@@ -10,10 +12,10 @@ import pytest
 import fluidaircomp.cli as cli
 import fluidaircomp.experiments as experiments
 from fluidaircomp.cli import cli_main
-from fluidaircomp.driver import METHODS, AoOptions
-from fluidaircomp.experiments import (CSV_HEADER, ExperimentConfig,
-                                      default_out_path, parse_config, run_sweep)
-from fluidaircomp.model import PositionSet
+from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
+from fluidaircomp.experiments import (CSV_HEADER, ExperimentConfig, default_out_path,
+                                      parse_config, run_sweep, sweep_reports)
+from fluidaircomp.model import PositionSet, sample_scenario
 
 
 def tiny_config(**overrides):
@@ -272,6 +274,33 @@ def test_pool_has_at_most_one_worker_per_cell(monkeypatch, tmp_path):
     assert pooled.read_bytes() == serial.read_bytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_reports_are_the_direct_solves_in_cell_order(workers, tmp_path):
+    config = tiny_config(workers=workers)
+    cells = list(sweep_reports(config))
+    assert [(value, trial) for value, trial, _ in cells] == [
+        (value, trial) for value in config.values for trial in range(config.trials)]
+    for value, trial, reports in cells:
+        seed = config.seed + trial
+        scenario = sample_scenario(config.n, config.k, value, seed)
+        assert list(reports) == list(config.methods)
+        for method, report in reports.items():
+            direct = ao_optimize(scenario, AoOptions(method, config.max_rounds,
+                                                     config.tol_mse), seed=seed)
+            assert np.array_equal(report.mse_history, direct.mse_history)
+            assert (report.status, report.seed, report.inner_iterations) == (
+                direct.status, seed, direct.inner_iterations)
+            for name in ("b", "m", "x", "mse"):
+                assert np.array_equal(getattr(report.state, name),
+                                      getattr(direct.state, name))
+    path = tmp_path / "out.csv"
+    run_sweep(config, str(path))
+    want = [["snr_db", f"{value:g}", str(trial), method, f"{report.state.mse:.12g}",
+             str(report.rounds), "0.000000", str(config.seed + trial)]
+            for value, trial, reports in cells for method, report in reports.items()]
+    assert read_csv(str(path))[1:len(want) + 1] == want
+
+
 def test_aggregate_rows_hold_means(tmp_path):
     path = tmp_path / "out.csv"
     run_sweep(tiny_config(), str(path))
@@ -395,8 +424,20 @@ def test_main_exits_with_cli_main_code(captured, monkeypatch, tmp_path, argv, co
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["fluidaircomp", *argv])
     with pytest.raises(SystemExit) as excinfo:
-        cli.main()
+        runpy.run_module("fluidaircomp", run_name="__main__")
     assert excinfo.value.code == code
+
+
+@pytest.mark.parametrize("module", ["fluidaircomp", "fluidaircomp.cli"])
+def test_python_m_runs_the_command(module, tmp_path):
+    out = tmp_path / "trace.csv"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    result = subprocess.run(
+        [sys.executable, "-m", module, "trace", "--N", "2", "--K", "2", "--rounds", "1",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert read_csv(str(out))[0] == list(CSV_HEADER)
 
 
 def test_cli_missing_config_is_runtime_error(tmp_path):

@@ -1,24 +1,22 @@
 """The trend criteria 8a-8d, one function each.
 
-Each function runs its criterion's paired Monte Carlo trials (50 per point,
-fixed seeds) and returns the quantities that its test in test_acceptance.py
-asserts on, with the seconds it took and its margins. A margin is positive
-while its assertion holds; relative margins are fractions of the larger side.
-scripts/margins.py prints them.
+Each function solves its criterion's paired Monte Carlo trials (50 per point,
+fixed seeds) as one ExperimentConfig through experiments.sweep_reports, the
+runner behind run_sweep, and returns the quantities that its test in
+test_acceptance.py asserts on, with the seconds it took and its margins. A
+margin is positive while its assertion holds; relative margins are fractions
+of the larger side. scripts/margins.py prints them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
-from fluidaircomp.model import sample_scenario
+from fluidaircomp.driver import METHODS
+from fluidaircomp.experiments import ExperimentConfig, sweep_reports
 
 MONOTONE_SLACK = 1e-9
 SECONDS_BUDGET = 600
@@ -29,37 +27,18 @@ def assert_monotone(history):
     assert np.all(np.diff(hist) <= MONOTONE_SLACK), "MSE increased along a run"
 
 
-def _paired_trial(args):
-    """(final MSE, rounds, trace) per method on one trial's scenario. A
-    spawned worker does not inherit pytest's warning filters, so it makes a
-    RuntimeWarning an error itself, as pyproject.toml does for the tests."""
-    warnings.simplefilter("error", RuntimeWarning)
-    methods, n, k, snr, seed, tol_mse, max_rounds = args
-    scenario = sample_scenario(n, k, snr, seed=seed)
-    results = []
-    for method in methods:
-        report = ao_optimize(scenario, AoOptions(
-            method=method, max_rounds=max_rounds, tol_mse=tol_mse))
-        assert_monotone(report.mse_history)
-        results.append((report.state.mse, report.rounds, report.mse_history))
-    return results
-
-
-def run_paired(methods, n, k, snr, trials, seed0, tol_mse, max_rounds):
-    """Final MSE, rounds, and traces per method on shared scenarios, in trial
-    order. The trials are independent, so they run on one pool of spawned
-    worker processes."""
-    cells = [(methods, n, k, snr, seed0 + trial, tol_mse, max_rounds)
-             for trial in range(trials)]
-    out = {m: {"mse": [], "rounds": [], "hist": []} for m in methods}
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, trials),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        for results in pool.map(_paired_trial, cells):
-            for method, (mse_val, rounds, hist) in zip(methods, results):
-                out[method]["mse"].append(mse_val)
-                out[method]["rounds"].append(rounds)
-                out[method]["hist"].append(hist)
-    return out
+def paired_reports(config):
+    """Every cell's (value, {method: AoReport}) in cell order, with each
+    trace checked to be monotone. A RuntimeWarning is an error during the
+    run, as pyproject.toml makes it for the tests, and the forked pool's
+    workers inherit that filter."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cells = [(value, reports) for value, _, reports in sweep_reports(config)]
+    for _, reports in cells:
+        for report in reports.values():
+            assert_monotone(report.mse_history)
+    return cells
 
 
 def flatten_round(history, frac=1e-3):
@@ -74,24 +53,26 @@ def _least_step(curve, rising):
     return min((b - a) / b if rising else (a - b) / a for a, b in zip(curve, curve[1:]))
 
 
-def _sweep_means(methods, axis, point):
-    """Mean final MSE per method at each axis value, from run_paired(**point(v))."""
-    means = {m: [] for m in methods}
-    for value in axis:
-        runs = run_paired(methods, **point(value))
-        for method in methods:
-            means[method].append(float(np.mean(runs[method]["mse"])))
-    return means
+def _sweep_means(config):
+    """Mean final MSE per method at each of the sweep's axis values."""
+    finals = {m: {value: [] for value in config.values} for m in config.methods}
+    for value, reports in paired_reports(config):
+        for method, report in reports.items():
+            finals[method][value].append(report.state.mse)
+    return {m: [float(np.mean(finals[m][value])) for value in config.values]
+            for m in config.methods}
 
 
 def trace_shape():
     """8a: pdip's trace flattens within the round budget, sca's later."""
     start = time.perf_counter()
-    runs = run_paired(("pdip", "sca"), n=10, k=100, snr=-10.0, trials=50,
-                      seed0=8100, tol_mse=0.0, max_rounds=100)
-    t_pdip = [flatten_round(h) for h in runs["pdip"]["hist"]]
-    t_sca = [flatten_round(h) for h in runs["sca"]["hist"]]
-    mse = {m: float(np.mean(runs[m]["mse"])) for m in runs}
+    cells = paired_reports(ExperimentConfig(
+        sweep="trace", values=(), n=10, k=100, snr_db=-10.0, methods=("pdip", "sca"),
+        trials=50, seed=8100, tol_mse=0.0, max_rounds=100, workers=0))
+    t_pdip = [flatten_round(reports["pdip"].mse_history) for _, reports in cells]
+    t_sca = [flatten_round(reports["sca"].mse_history) for _, reports in cells]
+    mse = {m: float(np.mean([reports[m].state.mse for _, reports in cells]))
+           for m in ("pdip", "sca")}
     seconds = time.perf_counter() - start
     return {"t_pdip": t_pdip, "t_sca": t_sca, "mse": mse, "seconds": seconds,
             "margins": {
@@ -106,8 +87,9 @@ def snr_sweep_shape():
     """8b: the MSE falls with SNR, pdip beats fpa, and the gap narrows."""
     start = time.perf_counter()
     snrs = (-10.0, -5.0, 0.0, 5.0, 10.0)
-    means = _sweep_means(METHODS, snrs, lambda snr: dict(
-        n=10, k=10, snr=snr, trials=50, seed0=8200, tol_mse=1e-5, max_rounds=60))
+    means = _sweep_means(ExperimentConfig(
+        sweep="snr", values=snrs, n=10, k=10, methods=METHODS,
+        trials=50, seed=8200, tol_mse=1e-5, max_rounds=60, workers=0))
     gap = [f - p for f, p in zip(means["fpa"], means["pdip"])]
     seconds = time.perf_counter() - start
     margins = {f"least relative fall, {m}": _least_step(means[m], rising=False)
@@ -125,8 +107,9 @@ def array_size_sweep_shape():
     """8c: the MSE falls as the array grows, and pdip beats fpa."""
     start = time.perf_counter()
     sizes = (5, 10, 15)
-    means = _sweep_means(("pdip", "fpa"), sizes, lambda n: dict(
-        n=n, k=10, snr=-10.0, trials=50, seed0=8300, tol_mse=1e-5, max_rounds=60))
+    means = _sweep_means(ExperimentConfig(
+        sweep="n", values=sizes, k=10, snr_db=-10.0, methods=("pdip", "fpa"),
+        trials=50, seed=8300, tol_mse=1e-5, max_rounds=60, workers=0))
     seconds = time.perf_counter() - start
     margins = {f"least relative fall, {m}": _least_step(curve, rising=False)
                for m, curve in means.items()}
@@ -141,8 +124,9 @@ def user_count_sweep_shape():
     """8d: the MSE rises with users, pdip stays ahead, and fpa's gap widens."""
     start = time.perf_counter()
     counts = (10, 50, 100)
-    means = _sweep_means(("pdip", "sca", "fpa"), counts, lambda k: dict(
-        n=10, k=k, snr=-10.0, trials=50, seed0=8400, tol_mse=1e-5, max_rounds=60))
+    means = _sweep_means(ExperimentConfig(
+        sweep="k", values=counts, n=10, snr_db=-10.0, methods=("pdip", "sca", "fpa"),
+        trials=50, seed=8400, tol_mse=1e-5, max_rounds=60, workers=0))
     fpa_gap = [f - p for f, p in zip(means["fpa"], means["pdip"])]
     seconds = time.perf_counter() - start
     margins = {f"least relative rise, {m}": _least_step(curve, rising=True)
