@@ -4,15 +4,15 @@ The objective is supplied as an oracle exposing value(x), gradient(x), and
 hessian(x); the constraints are the affine rows f(x) = matrix @ x + offsets
 <= 0 of a PositionSet, of which only matrix, values(x) and check(x0) are
 read. The solver runs the non-convex antenna-position problem, whose Hessian
-may be indefinite (hence the damping in newton_step), and the KKT residual
-norm that the line search decreases can flatten out away from a KKT point;
-a run whose accepted steps stop cutting that norm ends with status
-no_progress. Each run assembles its Newton systems in one KKT workspace,
-whose constant block is written once. The iteration is the primal-dual
-method of Boyd & Vandenberghe, Convex Optimization, section 11.7, warm
-started with a cold-start fallback as in Yildirim & Wright, "Warm-start
-strategies in interior-point methods for linear programming", SIAM J. Optim.
-12(3), 2002.
+may be indefinite; newton_step solves such a system undamped and damps only
+when the KKT solve fails or is inaccurate. The KKT residual norm that the
+line search decreases can flatten out away from a KKT point; a run whose
+accepted steps stop cutting that norm ends with status no_progress. Each
+run assembles its Newton systems in one KKT workspace, whose constant block
+is written once. The iteration is the primal-dual method of Boyd &
+Vandenberghe, Convex Optimization, section 11.7, warm started with a
+cold-start fallback as in Yildirim & Wright, "Warm-start strategies in
+interior-point methods for linear programming", SIAM J. Optim. 12(3), 2002.
 """
 
 from __future__ import annotations

@@ -182,22 +182,22 @@ def test_criterion_5_pdip_on_convex_instances():
 def test_criterion_6_projection_exactness():
     with criterion(6, "chain projection matches the active-set oracle"):
         rng = np.random.default_rng(1006)
-        prev = None
+        # the second inputs come from their own generator, so the oracle
+        # cases are rng's alone
+        other = np.random.default_rng(2006)
         for _ in range(1000):
             n = int(rng.integers(1, 6))
             length = float(rng.uniform(0.5 * (n - 1) + 0.1, 3 * n))
             v = rng.uniform(-length, 2 * length, n)
+            u = other.uniform(-length, 2 * length, n)
             positions = PositionSet(n, length, 0.5)
             proj = project_feasible(v, positions)
             ref = qp_active_set_reference(np.eye(n), -2.0 * v, positions)
             assert np.max(np.abs(proj - ref)) <= 1e-8
             again = project_feasible(proj, positions)
             assert np.max(np.abs(again - proj)) <= 1e-13
-            if prev is not None and prev[0] == (n, length):
-                u, pu = prev[1]
-                assert (np.linalg.norm(proj - pu)
-                        <= np.linalg.norm(v - u) + 1e-12)
-            prev = ((n, length), (v, proj))
+            assert (np.linalg.norm(proj - project_feasible(u, positions))
+                    <= np.linalg.norm(v - u) + 1e-12)
 
 
 def test_criterion_7_monotone_mse_across_methods():

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import (coefficient_matrix, cosine_gradient, cosine_hessian, cosine_value,
                      cross_term, fd_gradient, fd_hessian, polar, power_term, stacked_values,
@@ -45,19 +43,18 @@ def test_cross_term_aligned_phase_maximum():
     assert 2.0 * _sums(weights, np.array([x1]))[0].real == pytest.approx(2.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_terms_match_direct_steering_evaluation(seed):
-    rng = np.random.default_rng(seed)
-    k_users, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-    weights = random_weights(rng, k_users, n)
-    x = rng.uniform(-1, n + 1, n)  # evaluation needs no feasibility
-    u = _sums(weights, x)
-    for k in range(k_users):
-        inner = _direct_inner(weights, k, x)
-        assert power_term(weights, k, x) == pytest.approx(abs(inner) ** 2, abs=1e-10)
-        assert cross_term(weights, k, x) == pytest.approx(2 * inner.real, abs=1e-10)
-        assert u[k] == pytest.approx(inner, abs=1e-10)
+def test_terms_match_direct_steering_evaluation():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        k_users, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        weights = random_weights(rng, k_users, n)
+        x = rng.uniform(-1, n + 1, n)  # evaluation needs no feasibility
+        u = _sums(weights, x)
+        for k in range(k_users):
+            inner = _direct_inner(weights, k, x)
+            assert power_term(weights, k, x) == pytest.approx(abs(inner) ** 2, abs=1e-10)
+            assert cross_term(weights, k, x) == pytest.approx(2 * inner.real, abs=1e-10)
+            assert u[k] == pytest.approx(inner, abs=1e-10)
 
 
 def test_value_is_sum_of_terms_and_batch_agrees():
@@ -208,31 +205,29 @@ def test_zero_weights_flat_objective():
     assert np.all(obj.hessian(x) == 0.0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_gradient_matches_finite_differences(seed):
-    rng = np.random.default_rng(seed)
-    obj = random_weights(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
-    n = obj.m.size
-    x = rng.uniform(0, n, n)
-    grad = obj.gradient(x)
-    approx = fd_gradient(obj.value, x, h=1e-6)
-    scale = np.max(np.abs(approx)) + 1.0
-    assert np.max(np.abs(grad - approx)) / scale < 1e-5
+def test_gradient_matches_finite_differences():
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        obj = random_weights(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+        n = obj.m.size
+        x = rng.uniform(0, n, n)
+        grad = obj.gradient(x)
+        approx = fd_gradient(obj.value, x, h=1e-6)
+        scale = np.max(np.abs(approx)) + 1.0
+        assert np.max(np.abs(grad - approx)) / scale < 1e-5
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_hessian_matches_finite_differences(seed):
-    rng = np.random.default_rng(seed)
-    obj = random_weights(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
-    n = obj.m.size
-    x = rng.uniform(0, n, n)
-    hess = obj.hessian(x)
-    assert np.allclose(hess, hess.T, atol=1e-12)
-    approx = fd_hessian(obj.value, x, h=1e-4)
-    scale = np.max(np.abs(approx)) + 1.0
-    assert np.max(np.abs(hess - approx)) / scale < 1e-4
+def test_hessian_matches_finite_differences():
+    rng = np.random.default_rng(16)
+    for _ in range(25):
+        obj = random_weights(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+        n = obj.m.size
+        x = rng.uniform(0, n, n)
+        hess = obj.hessian(x)
+        assert np.allclose(hess, hess.T, atol=1e-12)
+        approx = fd_hessian(obj.value, x, h=1e-4)
+        scale = np.max(np.abs(approx)) + 1.0
+        assert np.max(np.abs(hess - approx)) / scale < 1e-4
 
 
 def test_translation_invariance_with_phase_rereference():

@@ -5,8 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import brute_force_b, update_b_single
 from util import random_feasible_positions, random_state
@@ -39,19 +37,18 @@ def test_b_single_zero_channel_convention():
     assert update_b_single(np.array([0.0 + 0j]), np.array([1.0 + 0j]), 2.0) == 0j
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_b_single_feasibility_and_slackness(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
-    m = rng.normal(size=n) + 1j * rng.normal(size=n)
-    h = rng.normal(size=n) + 1j * rng.normal(size=n)
-    p_max = float(rng.uniform(0.25, 4.0))
-    b = update_b_single(m, h, p_max)
-    assert abs(b) ** 2 <= p_max + 1e-12
-    c = abs(complex(np.vdot(m, h)))
-    mu = max(c / np.sqrt(p_max) - c * c, 0.0)
-    assert abs(mu * (abs(b) ** 2 - p_max)) < 1e-9
+def test_b_single_feasibility_and_slackness():
+    rng = np.random.default_rng(42)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        m = rng.normal(size=n) + 1j * rng.normal(size=n)
+        h = rng.normal(size=n) + 1j * rng.normal(size=n)
+        p_max = float(rng.uniform(0.25, 4.0))
+        b = update_b_single(m, h, p_max)
+        assert abs(b) ** 2 <= p_max + 1e-12
+        c = abs(complex(np.vdot(m, h)))
+        mu = max(c / np.sqrt(p_max) - c * c, 0.0)
+        assert abs(mu * (abs(b) ** 2 - p_max)) < 1e-9
 
 
 def test_b_update_matches_per_user_oracle():

@@ -1,11 +1,10 @@
 import hashlib
+import itertools
 import sys
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from oracles import is_feasible_positions
 from util import warmed_objective
@@ -175,46 +174,44 @@ def test_failed_position_solver_is_flagged(monkeypatch):
     assert np.all(np.diff(hist) <= 1e-9)
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 4), k=st.integers(1, 3),
-       snr_db=st.sampled_from([-100.0, 0.0, 100.0]),
-       geometry=st.sampled_from(["default", "tight", 0.1, 0.3]),
-       seed=st.integers(0, 2**16))
-@example(n=4, k=3, snr_db=0.0, geometry=0.1, seed=0)
-@example(n=4, k=3, snr_db=0.0, geometry=0.3, seed=0)
-@example(n=4, k=2, snr_db=100.0, geometry="default", seed=2)
-@example(n=4, k=2, snr_db=100.0, geometry="default", seed=3)
-@example(n=2, k=2, snr_db=100.0, geometry="default", seed=8)
-def test_edges_keep_every_method_running(n, k, snr_db, geometry, seed):
+def test_edges_keep_every_method_running():
     # N = 1, K = 1, extreme SNR and L = (N-1)*L0: only pdip, which needs a
     # strictly interior start, may refuse, and it does so with a typed error.
     # A number geometry is L0 with L = (N-1)*L0 rounded to 12 decimals, which
     # is tight only up to float rounding: 3 * 0.1 > 0.3 and 3 * 0.3 < 0.9
-    scenario = sample_scenario(n, k, snr_db, seed)
-    tight = geometry != "default"
-    if geometry == "tight":
-        scenario = replace(scenario, aperture=(n - 1) * scenario.min_spacing)
-    elif tight:
-        scenario = replace(scenario, aperture=round((n - 1) * geometry, 12),
-                           min_spacing=geometry)
-    finals = {}
-    for method in METHODS:
-        options = AoOptions(method=method, max_rounds=8)
-        if tight and method == "pdip":
-            with pytest.raises(InfeasibleStartError):
-                ao_optimize(scenario, options)
-            continue
-        report = ao_optimize(scenario, options)
-        assert not report.status.startswith("position_solver_failed"), method
-        hist = np.asarray(report.mse_history)
-        assert np.all(np.diff(hist) <= 1e-9 * hist[:-1]), method
-        assert is_feasible_positions(report.state.x, scenario.aperture,
-                                     scenario.min_spacing), method
-        finals[method] = report.state.mse
-    if tight:
-        # the feasible set is one point: moving the antennas cannot help
-        for method in ("sca", "pgd"):
-            assert finals[method] == pytest.approx(finals["fpa"], rel=1e-12, abs=0)
+    rng = np.random.default_rng(13)
+    cases = [(4, 3, 0.0, 0.1, 0), (4, 3, 0.0, 0.3, 0), (4, 2, 100.0, "default", 2),
+             (4, 2, 100.0, "default", 3), (2, 2, 100.0, "default", 8)]
+    cases += [(*edge, int(rng.integers(0, 2**16 + 1))) for edge in itertools.product(
+        range(1, 5), range(1, 4), (-100.0, 0.0, 100.0), ("default", "tight", 0.1, 0.3))]
+    for case in cases:
+        n, k, snr_db, geometry, seed = case
+        scenario = sample_scenario(n, k, snr_db, seed)
+        tight = geometry != "default"
+        if geometry == "tight":
+            scenario = replace(scenario, aperture=(n - 1) * scenario.min_spacing)
+        elif tight:
+            scenario = replace(scenario, aperture=round((n - 1) * geometry, 12),
+                               min_spacing=geometry)
+        finals = {}
+        for method in METHODS:
+            options = AoOptions(method=method, max_rounds=8)
+            if tight and method == "pdip":
+                with pytest.raises(InfeasibleStartError):
+                    ao_optimize(scenario, options)
+                continue
+            report = ao_optimize(scenario, options)
+            assert not report.status.startswith("position_solver_failed"), (case, method)
+            hist = np.asarray(report.mse_history)
+            assert np.all(np.diff(hist) <= 1e-9 * hist[:-1]), (case, method)
+            assert is_feasible_positions(report.state.x, scenario.aperture,
+                                         scenario.min_spacing), (case, method)
+            finals[method] = report.state.mse
+        if tight:
+            # the feasible set is one point: moving the antennas cannot help
+            for method in ("sca", "pgd"):
+                assert finals[method] == pytest.approx(finals["fpa"], rel=1e-12,
+                                                       abs=0), (case, method)
 
 
 def test_degenerate_interior_rejects_pdip_start():

@@ -137,6 +137,22 @@ def test_margins_lists_every_trend_criterion():
         assert name in result.stdout
 
 
+def test_margins_report_lines_print_every_value_shape(monkeypatch):
+    # per-method dicts of lists or floats, t_* lists and scalars in result
+    # order, then the margins, which the loop skips wherever they sit
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import margins
+
+    result = {"counts": (10, 50), "margins": {"a": 0.125, "b - c": -2.0},
+              "means": {"pdip": [0.5, 0.25], "fpa": 0.75}, "t_pdip": [3, 6, 4],
+              "seconds": 1.5}
+    assert margins.report_lines("8d", result) == [
+        "criterion 8d: the MSE rises with users, pdip stays ahead, and fpa's gap widens.",
+        "  counts: [10, 50]", "  means pdip: [0.5, 0.25]", "  means fpa: 0.75",
+        "  t_pdip: mean 4.33333, max 6", "  seconds: 1.5",
+        "  margins:", "    a: 0.125", "    b - c: -2"]
+
+
 def test_reproduce_study_quick_writes_every_csv(tmp_path):
     result = run_script("reproduce_study.py", "--quick", "--out-dir", str(tmp_path))
     assert result.returncode == 0, result.stderr
