@@ -1,21 +1,16 @@
-"""AirComp MSE minimization for a fluid-antenna receive array."""
+"""AirComp MSE minimization for a fluid-antenna receive array.
 
-from .apv_objective import ApvObjective, effective_weights
-from .closed_form import update_b, update_m
+The package namespace holds the entry points; the layers below them (the
+model kernels, the transceiver updates, the position objective and the
+three position solvers) are imported from their modules.
+"""
+
 from .driver import METHODS, AoOptions, AoReport, ao_optimize
 from .experiments import ExperimentConfig, parse_config, run_sweep, sweep_reports
-from .model import (PositionSet, Scenario, SolveReport, TransceiverState, channel_matrix,
-                    mse, sample_scenario, steering)
-from .pdip import solve_pdip
-from .pgd import project_feasible, solve_pgd
-from .sca import build_surrogate, solve_sca
+from .model import Scenario, sample_scenario
 
 __all__ = [
-    "ApvObjective", "effective_weights", "update_b", "update_m",
-    "METHODS", "AoOptions", "AoReport", "ao_optimize",
+    "sample_scenario", "Scenario",
+    "ao_optimize", "AoOptions", "AoReport", "METHODS",
     "ExperimentConfig", "parse_config", "run_sweep", "sweep_reports",
-    "PositionSet", "Scenario", "TransceiverState",
-    "channel_matrix", "mse", "sample_scenario", "steering",
-    "SolveReport", "solve_pdip", "project_feasible", "solve_pgd",
-    "build_surrogate", "solve_sca",
 ]

@@ -8,11 +8,11 @@ may be indefinite; newton_step solves such a system undamped and damps only
 when the KKT solve fails or is inaccurate. The KKT residual norm that the
 line search decreases can flatten out away from a KKT point; a run whose
 accepted steps stop cutting that norm ends with status no_progress. Each
-run assembles its Newton systems in one KKT workspace, whose constant block
-is written once. The iteration is the primal-dual method of Boyd &
-Vandenberghe, Convex Optimization, section 11.7, warm started with a
-cold-start fallback as in Yildirim & Wright, "Warm-start strategies in
-interior-point methods for linear programming", SIAM J. Optim. 12(3), 2002.
+Newton step assembles its own KKT matrix. The iteration is the primal-dual
+method of Boyd & Vandenberghe, Convex Optimization, section 11.7, warm
+started with a cold-start fallback as in Yildirim & Wright, "Warm-start
+strategies in interior-point methods for linear programming", SIAM J.
+Optim. 12(3), 2002.
 """
 
 from __future__ import annotations
@@ -68,34 +68,26 @@ def residuals(objective, positions: PositionSet, x: np.ndarray, f: np.ndarray,
     return r_dual, r_cent
 
 
-def _kkt_workspace(jac: np.ndarray) -> np.ndarray:
-    """The KKT matrix [[H, Df^T], [-diag(nu) Df, -diag(f)]] of newton_step
-    for constraint rows jac, with its constant parts written: Df^T, and the
-    -0.0 that -diag(f) holds off its diagonal."""
-    m_c, n = jac.shape
-    kkt = np.empty((n + m_c, n + m_c))
-    kkt[:n, n:] = jac.T
-    kkt[n:, n:] = -0.0
-    return kkt
-
-
 def newton_step(objective, positions: PositionSet, x: np.ndarray, f: np.ndarray,
-                nu: np.ndarray, r_dual: np.ndarray, r_cent: np.ndarray, kkt: np.ndarray):
+                nu: np.ndarray, r_dual: np.ndarray, r_cent: np.ndarray):
     """Solve the primal-dual Newton system at (x, nu), given f = f(x) and the
     residuals there, for (dx, dnu).
 
-    kkt is the run's workspace from _kkt_workspace(positions.matrix); a step
-    writes only its H, -diag(nu) Df and diagonal blocks.
-    The objective Hessian may be indefinite or singular here; on a failed or
-    inaccurate factorization a Levenberg-style rho*I term is added, escalating
-    rho tenfold up to 5 times before giving up.
+    Each call fills a fresh KKT matrix [[H, Df^T], [-diag(nu) Df, -diag(f)]],
+    (2N+1)-square for the N+1 rows of a PositionSet. The objective Hessian
+    may be indefinite or singular here; on a failed or inaccurate
+    factorization a Levenberg-style rho*I term is added to H, escalating rho
+    tenfold up to 5 times before giving up.
     """
     jac = positions.matrix
     n = x.size
     hess = objective.hessian(x)
     hess_diag = hess.diagonal()
+    kkt = np.empty((n + f.size, n + f.size))
     kkt[:n, :n] = hess
+    kkt[:n, n:] = jac.T
     kkt[n:, :n] = -nu[:, None] * jac
+    kkt[n:, n:] = -0.0  # -diag(f) off its diagonal, as np.block forms it
     diag = kkt.reshape(-1)[::kkt.shape[0] + 1]
     diag[n:] = -f
     rhs = -np.concatenate([r_dual, r_cent])
@@ -170,7 +162,6 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
     m_c = f.size
     eta = float(-f @ nu)
     r_dual = grad + positions.matrix.T @ nu
-    kkt = _kkt_workspace(positions.matrix)
     steps = 0
     flat = 0
     status = "max_iters"
@@ -187,7 +178,7 @@ def _newton_loop(objective, positions: PositionSet, x: np.ndarray,
         delta = _XI * m_c / eta
         r_cent = -nu * f - 1.0 / delta
         try:
-            dx, dnu = newton_step(objective, positions, x, f, nu, r_dual, r_cent, kkt)
+            dx, dnu = newton_step(objective, positions, x, f, nu, r_dual, r_cent)
         except SingularKktError:
             status = "singular_kkt"
             break

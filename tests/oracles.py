@@ -400,7 +400,7 @@ def newton_step_block(objective, positions, x, f, nu, r_dual, r_cent):
     """The primal-dual Newton step as first written: the KKT matrix assembled
     afresh with np.block, its Hessian diagonal damped by rho = 0, then 1e-6
     growing tenfold up to 5 times. Returns (dx, dnu, rho). Kept to pin the
-    library's reused KKT workspace to the same system, bit for bit."""
+    library's blockwise assembly to the same system, bit for bit."""
     jac = positions.matrix
     n = x.size
     hess = objective.hessian(x)

@@ -9,6 +9,7 @@ import pytest
 from oracles import is_feasible_positions
 from util import warmed_objective
 
+import fluidaircomp as fa
 from fluidaircomp import apv_objective, driver, model
 from fluidaircomp.apv_objective import ApvObjective
 from fluidaircomp.driver import METHODS, AoOptions, ao_optimize
@@ -111,6 +112,19 @@ def test_movable_methods_record_inner_iterations():
     scenario = sample_scenario(3, 3, 0.0, seed=5)
     report = ao_optimize(scenario, AoOptions(method="pdip", max_rounds=8))
     assert len(report.inner_iterations) == report.rounds
+
+
+def test_package_namespace_is_its_entry_points():
+    # the layers are imported from their modules; the package keeps the
+    # entry points, and the README example runs through them
+    assert sorted(fa.__all__) == sorted([
+        "sample_scenario", "Scenario", "ao_optimize", "AoOptions", "AoReport",
+        "METHODS", "ExperimentConfig", "parse_config", "run_sweep", "sweep_reports"])
+    assert all(getattr(fa, name) is not None for name in fa.__all__)
+    scenario = fa.sample_scenario(n_antennas=4, n_users=3, snr_db=-10, seed=0)
+    report = fa.ao_optimize(scenario, fa.AoOptions(method="pdip", max_rounds=5))
+    assert isinstance(report, fa.AoReport)
+    assert report.state.mse == report.mse_history[-1] and 1 <= report.rounds <= 5
 
 
 def test_unknown_method_rejected():

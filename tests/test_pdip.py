@@ -9,8 +9,7 @@ from fluidaircomp.apv_objective import effective_weights
 from fluidaircomp.closed_form import update_b, update_m
 from fluidaircomp.model import PositionSet, channel_matrix, sample_scenario
 from fluidaircomp.pdip import (_MAX_ITERS, InfeasibleStartError, SingularKktError,
-                               _kkt_workspace, _newton_loop, newton_step, residuals,
-                               solve_pdip)
+                               _newton_loop, newton_step, residuals, solve_pdip)
 from fluidaircomp.sca import QuadraticObjective
 
 
@@ -43,14 +42,11 @@ class Indefinite:
         return np.diag([1.0, -1.0])
 
 
-def step_at(objective, positions, x, nu, delta, kkt=None):
-    """newton_step at (x, nu) with the residuals for barrier parameter delta,
-    on the workspace kkt or a fresh one."""
-    if kkt is None:
-        kkt = _kkt_workspace(positions.matrix)
+def step_at(objective, positions, x, nu, delta):
+    """newton_step at (x, nu) with the residuals for barrier parameter delta."""
     f = positions.values(x)
     return newton_step(objective, positions, x, f, nu,
-                       *residuals(objective, positions, x, f, nu, delta), kkt)
+                       *residuals(objective, positions, x, f, nu, delta))
 
 
 def block_step_at(objective, positions, x, nu, delta):
@@ -171,45 +167,22 @@ def assert_same_step(got, ref):
     assert got[1].tobytes() == ref[1].tobytes()
 
 
-def test_kkt_workspace_matches_a_fresh_block_system():
-    # newton_step writes H, -diag(nu) Df and the diagonal into a workspace
-    # that keeps Df^T; each step must equal the np.block assembly bit for bit
+def test_newton_step_matches_the_block_oracle():
+    # newton_step fills its KKT matrix block by block; at an undamped point
+    # and at the Box2 point of the escalation test, which needs rho > 0, its
+    # step must equal the np.block assembly bit for bit
     positions, objective, _ = warmed_objective(seed=5, n_antennas=4, n_users=3)
     x = positions.interior()
     nu = 0.1 / -positions.values(x)
-    delta = 50.0
-    ref = block_step_at(objective, positions, x, nu, delta)
+    ref = block_step_at(objective, positions, x, nu, 50.0)
     assert ref[2] == 0.0
-    assert_same_step(step_at(objective, positions, x, nu, delta), ref)
+    assert_same_step(step_at(objective, positions, x, nu, 50.0), ref)
 
-    # two steps in a row on one workspace: no block of the first goes stale
-    kkt = _kkt_workspace(positions.matrix)
-    assert_same_step(step_at(objective, positions, x, nu, delta, kkt), ref)
-    x2, nu2 = x + 0.5 * ref[0], nu + 0.5 * ref[1]
-    assert np.all(positions.values(x2) < 0) and np.all(nu2 > 0)
-    ref2 = block_step_at(objective, positions, x2, nu2, 2.0 * delta)
-    assert_same_step(step_at(objective, positions, x2, nu2, 2.0 * delta, kkt), ref2)
-    # an undamped step leaves the workspace equal to the whole block matrix,
-    # down to the -0.0 that -diag(f) holds off its diagonal
-    jac, f2 = positions.matrix, positions.values(x2)
-    block = np.block([[objective.hessian(x2), jac.T], [-nu2[:, None] * jac, -np.diag(f2)]])
-    assert kkt.tobytes() == block.tobytes()
-
-
-def test_kkt_workspace_matches_after_damping_escalation():
-    # the Box2 system of the escalation test needs rho > 0; the next step on
-    # the same workspace, at multipliers where the undamped system solves,
-    # must not keep the damped diagonal
     cons, x, delta = Box2(), np.array([0.4, 0.5]), 2.0
     nu = np.array([1.0, 0.25, 1.0, 0.25])
-    kkt = _kkt_workspace(cons.matrix)
     ref = block_step_at(Indefinite(), cons, x, nu, delta)
     assert ref[2] > 0.0
-    assert_same_step(step_at(Indefinite(), cons, x, nu, delta, kkt), ref)
-    nu2 = np.array([1.0, 1.0, 1.0, 1.0])
-    ref2 = block_step_at(Indefinite(), cons, x, nu2, delta)
-    assert ref2[2] == 0.0
-    assert_same_step(step_at(Indefinite(), cons, x, nu2, delta, kkt), ref2)
+    assert_same_step(step_at(Indefinite(), cons, x, nu, delta), ref)
 
 
 def test_newton_step_gives_up_on_broken_oracle():
