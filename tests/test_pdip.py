@@ -167,22 +167,59 @@ def assert_same_step(got, ref):
     assert got[1].tobytes() == ref[1].tobytes()
 
 
-def test_newton_step_matches_the_block_oracle():
-    # newton_step fills its KKT matrix block by block; at an undamped point
-    # and at the Box2 point of the escalation test, which needs rho > 0, its
-    # step must equal the np.block assembly bit for bit
+def solved_matrices(monkeypatch):
+    """Record a copy of every matrix handed to np.linalg.solve."""
+    seen, solve = [], np.linalg.solve
+
+    def recording_solve(a, b):
+        seen.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    return seen
+
+
+def test_kkt_workspace_matches_a_fresh_block_system(monkeypatch):
+    # newton_step writes H, Df^T, -diag(nu) Df and the diagonal into the KKT
+    # matrix it fills; each step must equal the np.block assembly bit for bit
     positions, objective, _ = warmed_objective(seed=5, n_antennas=4, n_users=3)
     x = positions.interior()
     nu = 0.1 / -positions.values(x)
-    ref = block_step_at(objective, positions, x, nu, 50.0)
+    delta = 50.0
+    ref = block_step_at(objective, positions, x, nu, delta)
     assert ref[2] == 0.0
-    assert_same_step(step_at(objective, positions, x, nu, 50.0), ref)
+    assert_same_step(step_at(objective, positions, x, nu, delta), ref)
 
+    # two steps in a row: nothing of the first carries into the second
+    x2, nu2 = x + 0.5 * ref[0], nu + 0.5 * ref[1]
+    assert np.all(positions.values(x2) < 0) and np.all(nu2 > 0)
+    ref2 = block_step_at(objective, positions, x2, nu2, 2.0 * delta)
+    seen = solved_matrices(monkeypatch)
+    assert_same_step(step_at(objective, positions, x2, nu2, 2.0 * delta), ref2)
+    # an undamped step solves the whole block matrix, down to the -0.0 that
+    # -diag(f) holds off its diagonal
+    jac, f2 = positions.matrix, positions.values(x2)
+    block = np.block([[objective.hessian(x2), jac.T], [-nu2[:, None] * jac, -np.diag(f2)]])
+    assert len(seen) == 1 and seen[0].tobytes() == block.tobytes()
+
+
+def test_kkt_workspace_matches_after_damping_escalation(monkeypatch):
+    # the Box2 system of the escalation test needs rho > 0; the next step, at
+    # multipliers where the undamped system solves, must not keep the damped
+    # diagonal
     cons, x, delta = Box2(), np.array([0.4, 0.5]), 2.0
     nu = np.array([1.0, 0.25, 1.0, 0.25])
     ref = block_step_at(Indefinite(), cons, x, nu, delta)
     assert ref[2] > 0.0
     assert_same_step(step_at(Indefinite(), cons, x, nu, delta), ref)
+    nu2 = np.array([1.0, 1.0, 1.0, 1.0])
+    ref2 = block_step_at(Indefinite(), cons, x, nu2, delta)
+    assert ref2[2] == 0.0
+    seen = solved_matrices(monkeypatch)
+    assert_same_step(step_at(Indefinite(), cons, x, nu2, delta), ref2)
+    block = np.block([[Indefinite().hessian(x), cons.matrix.T],
+                      [-nu2[:, None] * cons.matrix, -np.diag(cons.values(x))]])
+    assert len(seen) == 1 and seen[0].tobytes() == block.tobytes()
 
 
 def test_newton_step_gives_up_on_broken_oracle():
